@@ -1,4 +1,5 @@
-//! Micro-benchmark harness for the WHISPER figure/table benches.
+//! Micro-benchmark harness for the WHISPER benches (`ablations`,
+//! `suite_throughput`).
 //!
 //! The build environment vendors no external crates, so this crate
 //! provides the small slice of the `criterion` API the benches use —
@@ -6,8 +7,7 @@
 //! `warm_up_time` / `measurement_time`, `bench_function` with a
 //! `Bencher::iter` timing loop, and the `criterion_group!` /
 //! `criterion_main!` macros. Each benchmark reports min / median / max
-//! time per iteration over the configured samples. See DESIGN.md for
-//! the per-experiment index of the benches themselves.
+//! time per iteration over the configured samples.
 
 #![forbid(unsafe_code)]
 

@@ -19,6 +19,7 @@
 //! descriptor line is a (rare) cross-thread dependency.
 
 use super::{AppRun, VolatileArena};
+use crate::crashtest::{self, Arm, CrashRun};
 use crate::region::RegionPlanner;
 use memsim::{Machine, MachineConfig, PmWriter};
 use pmalloc::{BlockState, PmAllocator, SingleHeapAlloc};
@@ -226,7 +227,7 @@ pub fn run(transactions: usize, seed: u64) -> AppRun {
 /// key's version chain against the committed operation prefix —
 /// allowing the one in-flight operation to be wholly present or wholly
 /// absent, never torn.
-pub(crate) fn crash_run(ops: usize, points: &[u64]) -> crate::crashtest::CrashRun {
+pub(crate) fn crash_run(ops: usize, arm: &Arm<'_>) -> CrashRun {
     const CRASH_KEYSPACE: u64 = 24;
     let mut m = Machine::new(MachineConfig::asplos17());
     let mut st = EchoState::build(&mut m);
@@ -244,7 +245,7 @@ pub(crate) fn crash_run(ops: usize, points: &[u64]) -> crate::crashtest::CrashRu
         })
         .collect();
 
-    crate::crashtest::arm(&mut m, points);
+    crashtest::arm(&mut m, arm);
     for (i, (key, val)) in plan_ops.iter().enumerate() {
         let tid = Tid((i % ECHO_CLIENTS as usize) as u32);
         st.client_submit(&mut m, tid, &mut arena, &[(*key, *val)]);
@@ -309,7 +310,7 @@ pub(crate) fn crash_run(ops: usize, points: &[u64]) -> crate::crashtest::CrashRu
         }
         Ok(())
     });
-    crate::crashtest::harvest(m, total, oracle)
+    crashtest::harvest(m, total, oracle)
 }
 
 pub(crate) fn run_inner(transactions: usize, seed: u64, paced: bool) -> AppRun {

@@ -11,6 +11,7 @@
 //! is why Table 1 spans 6250 epochs/s (Exim) to 250 K (NFS).
 
 use super::{AppRun, VolatileArena};
+use crate::crashtest::{self, Arm, CrashRun};
 use crate::workloads::{self, FileserverOp};
 use memsim::{Machine, MachineConfig};
 use pmem::{AddrRange, PmImage};
@@ -50,7 +51,7 @@ enum NfsOp {
 /// succeed) and requires every committed file to read back exactly,
 /// with the in-flight replacement observed as old, absent, empty, or
 /// complete — never a torn length.
-pub(crate) fn crash_run_nfs(ops: usize, points: &[u64]) -> crate::crashtest::CrashRun {
+pub(crate) fn crash_run_nfs(ops: usize, arm: &Arm<'_>) -> CrashRun {
     const N_FILES: u64 = 6;
     let mut m = Machine::new(MachineConfig::asplos17());
     m.trace_mut().set_enabled(false);
@@ -76,7 +77,7 @@ pub(crate) fn crash_run_nfs(ops: usize, points: &[u64]) -> crate::crashtest::Cra
         })
         .collect();
 
-    crate::crashtest::arm(&mut m, points);
+    crashtest::arm(&mut m, arm);
     for (i, op) in plan_ops.iter().enumerate() {
         let tid = Tid((i % THREADS as usize) as u32);
         match *op {
@@ -156,7 +157,7 @@ pub(crate) fn crash_run_nfs(ops: usize, points: &[u64]) -> crate::crashtest::Cra
         }
         Ok(())
     });
-    crate::crashtest::harvest(m, total, oracle)
+    crashtest::harvest(m, total, oracle)
 }
 
 /// NFS: an exported PMFS volume driven by filebench's `fileserver`
@@ -225,7 +226,7 @@ pub fn nfs(ops: usize, seed: u64) -> AppRun {
 /// additionally be present in full), the main log equal to the
 /// committed delivery lines (plus at most the in-flight line), and the
 /// in-flight spool file absent, empty, or complete.
-pub(crate) fn crash_run_exim(msgs: usize, points: &[u64]) -> crate::crashtest::CrashRun {
+pub(crate) fn crash_run_exim(msgs: usize, arm: &Arm<'_>) -> CrashRun {
     const MBOXES: u64 = 4;
     const BODY: usize = 600;
     let mut m = Machine::new(MachineConfig::asplos17());
@@ -242,7 +243,7 @@ pub(crate) fn crash_run_exim(msgs: usize, points: &[u64]) -> crate::crashtest::C
     let log_line = |i: usize, mbox: u64| format!("delivered m{i} to u{mbox:03}\n");
     let body_fill = |i: usize| (i % 251 + 1) as u8;
 
-    crate::crashtest::arm(&mut m, points);
+    crashtest::arm(&mut m, arm);
     for i in 0..msgs {
         let tid = Tid((i % THREADS as usize) as u32);
         let mbox = (i as u64 * 7 + 3) % MBOXES;
@@ -327,7 +328,7 @@ pub(crate) fn crash_run_exim(msgs: usize, points: &[u64]) -> crate::crashtest::C
         }
         Ok(())
     });
-    crate::crashtest::harvest(m, msgs as u64, oracle)
+    crashtest::harvest(m, msgs as u64, oracle)
 }
 
 /// Exim: mail delivery over PMFS spool and mailboxes, paced like
@@ -406,7 +407,7 @@ pub fn exim(msgs: usize, seed: u64) -> AppRun {
 /// the binlog must read back exactly (the binlog may carry at most the
 /// complete in-flight record, never a partial one: its size is
 /// journaled metadata).
-pub(crate) fn crash_run_mysql(ops: usize, points: &[u64]) -> crate::crashtest::CrashRun {
+pub(crate) fn crash_run_mysql(ops: usize, arm: &Arm<'_>) -> CrashRun {
     const N_ROWS: u64 = 64;
     const ROW: usize = 100;
     const REC: usize = 64;
@@ -433,7 +434,7 @@ pub(crate) fn crash_run_mysql(ops: usize, points: &[u64]) -> crate::crashtest::C
         .map(|i| (rng.gen_range(0..N_ROWS), (i % 251 + 1) as u8))
         .collect();
 
-    crate::crashtest::arm(&mut m, points);
+    crashtest::arm(&mut m, arm);
     for (i, (row, fill)) in plan_ops.iter().enumerate() {
         let tid = Tid((i % THREADS as usize) as u32);
         fs.write(&mut m, tid, "/ibdata", row * ROW as u64, &[*fill; ROW])
@@ -504,7 +505,7 @@ pub(crate) fn crash_run_mysql(ops: usize, points: &[u64]) -> crate::crashtest::C
         }
         Ok(())
     });
-    crate::crashtest::harvest(m, total_ops, oracle)
+    crashtest::harvest(m, total_ops, oracle)
 }
 
 /// MySQL: sysbench OLTP-complex over table/index/binlog files on PMFS

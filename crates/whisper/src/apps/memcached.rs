@@ -19,6 +19,7 @@
 //! bump, which keeps PM write traffic low at memslap's 5 % SET mix.
 
 use super::{machine_for, AppRun, VolatileArena, WORKERS};
+use crate::crashtest::{self, Arm, CrashRun};
 use crate::region::RegionPlanner;
 use crate::workloads::{self, MemslapOp};
 use memsim::{Machine, MachineConfig, PmWriter, Scheduler};
@@ -143,7 +144,7 @@ impl Memcached {
 /// key to carry its last committed value. The in-flight SET may have
 /// landed neither, only the table phase, or both — the LRU length must
 /// sit between the committed distinct-key count and one more.
-pub(crate) fn crash_run(ops: usize, points: &[u64]) -> crate::crashtest::CrashRun {
+pub(crate) fn crash_run(ops: usize, arm: &Arm<'_>) -> CrashRun {
     const CRASH_KEYSPACE: u64 = 24;
     let workers = WORKERS;
     let mut m = machine_for(workers);
@@ -164,7 +165,7 @@ pub(crate) fn crash_run(ops: usize, points: &[u64]) -> crate::crashtest::CrashRu
         })
         .collect();
 
-    crate::crashtest::arm(&mut m, points);
+    crashtest::arm(&mut m, arm);
     // Fence prologue: see `apps::redis::crash_run` — the HB crossval
     // proof needs every traced thread to fence once before it can
     // prove anything.
@@ -231,15 +232,11 @@ pub(crate) fn crash_run(ops: usize, points: &[u64]) -> crate::crashtest::CrashRu
         }
         Ok(())
     });
-    crate::crashtest::harvest(m, total, oracle)
+    crashtest::harvest(m, total, oracle)
 }
 
-/// Run memslap (Table 1: 4 clients, 5 % SET).
-pub fn run(ops: usize, seed: u64) -> AppRun {
-    run_threads(ops, seed, WORKERS)
-}
-
-/// [`run`] with an explicit worker-thread count (`--threads`).
+/// Run memslap (5 % SET) with `workers` client threads (Table 1: 4;
+/// `--threads` overrides it).
 pub fn run_threads(ops: usize, seed: u64, workers: u32) -> AppRun {
     let mut m = machine_for(workers);
     // Setup is untraced: the measured interval is the memslap run.
@@ -286,7 +283,7 @@ mod tests {
 
     #[test]
     fn transactions_small_and_epochs_singleton_heavy() {
-        let run = run(400, 11);
+        let run = run_threads(400, 11, WORKERS);
         let epochs = analysis::split_epochs(&run.events);
         let median = analysis::tx_stats(&epochs).median().unwrap();
         assert!((3..=25).contains(&median), "memcached median {median}");
@@ -301,7 +298,7 @@ mod tests {
     #[test]
     fn mnemosyne_nt_fraction_substantial() {
         // Consequence 10: ~67% of Mnemosyne's writes are NT (redo log).
-        let run = run(400, 11);
+        let run = run_threads(400, 11, WORKERS);
         let epochs = analysis::split_epochs(&run.events);
         let nt = analysis::nt_fraction(&epochs).unwrap();
         assert!(nt > 0.35 && nt < 0.95, "NT fraction {nt}");
@@ -309,7 +306,7 @@ mod tests {
 
     #[test]
     fn four_workers_share_the_table() {
-        let run = run(400, 11);
+        let run = run_threads(400, 11, WORKERS);
         let epochs = analysis::split_epochs(&run.events);
         let deps = analysis::dependencies(&epochs);
         assert!(

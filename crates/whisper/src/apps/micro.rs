@@ -12,6 +12,7 @@
 //! we mix in the deletes the benchmark also implements.
 
 use super::{AppRun, VolatileArena};
+use crate::crashtest::{self, Arm, CrashRun};
 use crate::region::RegionPlanner;
 use memsim::{Machine, MachineConfig, PmWriter};
 use pmalloc::ShardedSlab;
@@ -75,7 +76,7 @@ fn crash_plan_ops(ops: usize, seed: u64) -> Vec<(bool, u64)> {
 /// re-opens the crit-bit tree, and compares every key against the
 /// committed prefix, allowing the in-flight op's key to hold either
 /// its old or its new state.
-pub(crate) fn crash_run_ctree(ops: usize, points: &[u64]) -> crate::crashtest::CrashRun {
+pub(crate) fn crash_run_ctree(ops: usize, arm: &Arm<'_>) -> CrashRun {
     let (mut env, mut plan) = build_env();
     let tree_region = plan.take(pmds::CRITBIT_REGION_BYTES);
     env.eng.begin(&mut env.m, Tid(0)).expect("setup tx");
@@ -83,7 +84,7 @@ pub(crate) fn crash_run_ctree(ops: usize, points: &[u64]) -> crate::crashtest::C
     env.eng.commit(&mut env.m, Tid(0)).expect("setup");
     let plan_ops = crash_plan_ops(ops, 0xc47ee);
 
-    crate::crashtest::arm(&mut env.m, points);
+    crashtest::arm(&mut env.m, arm);
     for (i, (insert, key)) in plan_ops.iter().enumerate() {
         let tid = Tid((i % THREADS as usize) as u32);
         env.alloc.select(tid.0 as usize);
@@ -158,12 +159,12 @@ pub(crate) fn crash_run_ctree(ops: usize, points: &[u64]) -> crate::crashtest::C
         Ok(())
     });
     let MicroEnv { m, .. } = env;
-    crate::crashtest::harvest(m, total, oracle)
+    crashtest::harvest(m, total, oracle)
 }
 
 /// Crash workload + oracle for `hashmap`: same shape as
 /// [`crash_run_ctree`] over the persistent chained hash map.
-pub(crate) fn crash_run_hashmap(ops: usize, points: &[u64]) -> crate::crashtest::CrashRun {
+pub(crate) fn crash_run_hashmap(ops: usize, arm: &Arm<'_>) -> CrashRun {
     let (mut env, mut plan) = build_env();
     let map_region = plan.take(PHashMap::region_bytes(512));
     env.eng.begin(&mut env.m, Tid(0)).expect("setup tx");
@@ -171,7 +172,7 @@ pub(crate) fn crash_run_hashmap(ops: usize, points: &[u64]) -> crate::crashtest:
     env.eng.commit(&mut env.m, Tid(0)).expect("setup");
     let plan_ops = crash_plan_ops(ops, 0x4a54);
 
-    crate::crashtest::arm(&mut env.m, points);
+    crashtest::arm(&mut env.m, arm);
     for (i, (insert, key)) in plan_ops.iter().enumerate() {
         let tid = Tid((i % THREADS as usize) as u32);
         env.alloc.select(tid.0 as usize);
@@ -239,7 +240,7 @@ pub(crate) fn crash_run_hashmap(ops: usize, points: &[u64]) -> crate::crashtest:
         Ok(())
     });
     let MicroEnv { m, .. } = env;
-    crate::crashtest::harvest(m, total, oracle)
+    crashtest::harvest(m, total, oracle)
 }
 
 /// `ctree` without driver overhead (gem5-style, for Figures 6/10).

@@ -17,6 +17,7 @@
 //! paper attributes to native applications.
 
 use super::{AppRun, VolatileArena};
+use crate::crashtest::{self, Arm, CrashRun};
 use crate::region::RegionPlanner;
 use crate::workloads::{self, TpccTx, YcsbOp};
 use memsim::{Machine, MachineConfig, PmWriter};
@@ -172,7 +173,7 @@ const CRASH_PRELOAD: u64 = 24;
 /// Crash workload for the YCSB-like row (see [`crate::crashtest`]):
 /// single-action transactions — 70 % field updates on preloaded keys,
 /// 30 % fresh-key inserts.
-pub(crate) fn crash_run_ycsb(ops: usize, points: &[u64]) -> crate::crashtest::CrashRun {
+pub(crate) fn crash_run_ycsb(ops: usize, arm: &Arm<'_>) -> CrashRun {
     let mut rng = SmallRng::seed_from_u64(0x5ca1e);
     let mut next_key = CRASH_PRELOAD;
     let txs: Vec<Vec<CrashAction>> = (0..ops)
@@ -190,14 +191,14 @@ pub(crate) fn crash_run_ycsb(ops: usize, points: &[u64]) -> crate::crashtest::Cr
             }
         })
         .collect();
-    crash_run_inner(txs, points)
+    crash_run_inner(txs, arm)
 }
 
 /// Crash workload for the TPC-C-like row: multi-action transactions
 /// (order + order-line inserts + a stock update) alternating with
 /// payment-style updates — the all-or-nothing check spans every action
 /// of the in-flight transaction.
-pub(crate) fn crash_run_tpcc(txs: usize, points: &[u64]) -> crate::crashtest::CrashRun {
+pub(crate) fn crash_run_tpcc(txs: usize, arm: &Arm<'_>) -> CrashRun {
     let mut rng = SmallRng::seed_from_u64(0x79cc);
     let mut next_order = 1_000u64;
     let plan: Vec<Vec<CrashAction>> = (0..txs)
@@ -229,7 +230,7 @@ pub(crate) fn crash_run_tpcc(txs: usize, points: &[u64]) -> crate::crashtest::Cr
             }
         })
         .collect();
-    crash_run_inner(plan, points)
+    crash_run_inner(plan, arm)
 }
 
 /// Replay a transaction against the volatile row model (key → per-field
@@ -255,7 +256,7 @@ fn apply_model(model: &mut HashMap<u64, [u8; FIELDS]>, tx: &[CrashAction]) {
 /// with the plan armed, and return an oracle that requires the
 /// recovered database to equal the committed-prefix model — with the
 /// in-flight transaction applied in full or not at all.
-fn crash_run_inner(txs: Vec<Vec<CrashAction>>, points: &[u64]) -> crate::crashtest::CrashRun {
+fn crash_run_inner(txs: Vec<Vec<CrashAction>>, arm: &Arm<'_>) -> CrashRun {
     let mut m = Machine::new(MachineConfig::asplos17());
     m.trace_mut().set_enabled(false);
     let mut db = NStore::build(&mut m);
@@ -266,7 +267,7 @@ fn crash_run_inner(txs: Vec<Vec<CrashAction>>, points: &[u64]) -> crate::crashte
         db.eng.commit(&mut m, tid).expect("load commit");
     }
 
-    crate::crashtest::arm(&mut m, points);
+    crashtest::arm(&mut m, arm);
     for (i, tx) in txs.iter().enumerate() {
         let tid = Tid((i % THREADS as usize) as u32);
         db.eng.begin(&mut m, tid).expect("tx");
@@ -363,7 +364,7 @@ fn crash_run_inner(txs: Vec<Vec<CrashAction>>, points: &[u64]) -> crate::crashte
             format!("state matches neither the committed prefix nor prefix+in-flight: {e}")
         })
     });
-    crate::crashtest::harvest(m, ops, oracle)
+    crashtest::harvest(m, ops, oracle)
 }
 
 /// YCSB without driver overhead (gem5-style, for Figures 6 and 10).

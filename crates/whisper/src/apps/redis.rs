@@ -24,6 +24,7 @@
 //! traffic (Figure 6 measures redis at 0.74% PM).
 
 use super::{machine_for, AppRun, VolatileArena, WORKERS};
+use crate::crashtest::{self, Arm, CrashRun};
 use crate::region::RegionPlanner;
 use crate::workloads;
 use memsim::{Machine, MachineConfig, PmWriter, Scheduler};
@@ -96,7 +97,7 @@ enum COp {
 /// structures' detectable recovery and requires every committed command
 /// to be fully visible — the one in-flight command may be rolled
 /// forward or discarded, never torn.
-pub(crate) fn crash_run(ops: usize, points: &[u64]) -> crate::crashtest::CrashRun {
+pub(crate) fn crash_run(ops: usize, arm: &Arm<'_>) -> CrashRun {
     const CRASH_KEYSPACE: u64 = 32;
     let workers = WORKERS;
     let mut m = machine_for(workers);
@@ -133,7 +134,7 @@ pub(crate) fn crash_run(ops: usize, points: &[u64]) -> crate::crashtest::CrashRu
         })
         .collect();
 
-    crate::crashtest::arm(&mut m, points);
+    crashtest::arm(&mut m, arm);
     // Prologue: every worker retires one traced durable store, in fixed
     // tid order. Untraced setup leaves in-flight entries the HB
     // cross-validation cannot see; its durability proof stays vacuous
@@ -258,7 +259,7 @@ pub(crate) fn crash_run(ops: usize, points: &[u64]) -> crate::crashtest::CrashRu
         }
         Ok(())
     });
-    crate::crashtest::harvest(m, total, oracle)
+    crashtest::harvest(m, total, oracle)
 }
 
 /// lru-test without event-loop pacing (gem5-style, for Figures 6/10).
@@ -266,13 +267,8 @@ pub fn run_unpaced(ops: usize, seed: u64) -> AppRun {
     run_inner(ops, seed, false, WORKERS)
 }
 
-/// Run `redis-cli lru-test` against the PM-backed dictionary with the
-/// Table 1 worker count.
-pub fn run(ops: usize, seed: u64) -> AppRun {
-    run_inner(ops, seed, true, WORKERS)
-}
-
-/// [`run`] with an explicit worker-thread count (`--threads`).
+/// Run `redis-cli lru-test` against the PM-backed dictionary with
+/// `workers` client threads (Table 1: 4; `--threads` overrides it).
 pub fn run_threads(ops: usize, seed: u64, workers: u32) -> AppRun {
     run_inner(ops, seed, true, workers)
 }
@@ -355,7 +351,7 @@ mod tests {
     #[test]
     fn pm_fraction_is_small() {
         // Figure 6: redis has the second-lowest PM share (0.74%).
-        let run = run(400, 2);
+        let run = run_threads(400, 2, WORKERS);
         let f = run.stats.pm_fraction();
         assert!(f < 0.05, "redis PM fraction {f} should be tiny");
     }
@@ -367,7 +363,7 @@ mod tests {
         // threads sharing the dictionary and backlog, cross-thread
         // epoch dependencies must now exist (shared bucket heads, the
         // allocation cursor, the queue tail).
-        let run = run(400, 3);
+        let run = run_threads(400, 3, WORKERS);
         let epochs = analysis::split_epochs(&run.events);
         let deps = analysis::dependencies(&epochs);
         assert!(

@@ -21,6 +21,7 @@
 //! query-heavy, so PM is a tiny share of traffic (Figure 6: 0.36 %).
 
 use super::{machine_for, AppRun, VolatileArena, WORKERS};
+use crate::crashtest::{self, Arm, CrashRun};
 use crate::region::RegionPlanner;
 use memsim::{Machine, MachineConfig, PmWriter, Scheduler};
 use pmalloc::{PmAllocator, ShardedSlab};
@@ -274,7 +275,7 @@ fn apply_vmodel(model: &mut VModel, op: &VOp) {
 /// and the journal to match the committed-operation model — with the
 /// in-flight operation applied in full, not at all, or stopped at its
 /// transaction/journal boundary.
-pub(crate) fn crash_run(ops: usize, points: &[u64]) -> crate::crashtest::CrashRun {
+pub(crate) fn crash_run(ops: usize, arm: &Arm<'_>) -> CrashRun {
     let workers = WORKERS;
     let mut m = machine_for(workers);
     m.trace_mut().set_enabled(false);
@@ -306,7 +307,7 @@ pub(crate) fn crash_run(ops: usize, points: &[u64]) -> crate::crashtest::CrashRu
         })
         .collect();
 
-    crate::crashtest::arm(&mut m, points);
+    crashtest::arm(&mut m, arm);
     // Fence prologue: see `apps::redis::crash_run` — the HB crossval
     // proof needs every traced thread to fence once before it can
     // prove anything.
@@ -442,7 +443,7 @@ pub(crate) fn crash_run(ops: usize, points: &[u64]) -> crate::crashtest::CrashRu
         }
         Ok(())
     });
-    crate::crashtest::harvest(m, total, oracle)
+    crashtest::harvest(m, total, oracle)
 }
 
 /// Reservation mix with trimmed volatile phases (gem5-style, for
@@ -451,12 +452,8 @@ pub fn run_unpaced(transactions: usize, seed: u64) -> AppRun {
     run_inner(transactions, seed, false, WORKERS)
 }
 
-/// Run the reservation mix (Table 1: 4 clients).
-pub fn run(transactions: usize, seed: u64) -> AppRun {
-    run_inner(transactions, seed, true, WORKERS)
-}
-
-/// [`run`] with an explicit client-thread count (`--threads`).
+/// Run the reservation mix with `workers` client threads (Table 1: 4;
+/// `--threads` overrides it).
 pub fn run_threads(transactions: usize, seed: u64, workers: u32) -> AppRun {
     run_inner(transactions, seed, true, workers)
 }
@@ -509,7 +506,7 @@ mod tests {
     #[test]
     fn transactions_are_small() {
         // Figure 3: Mnemosyne apps have the smallest medians (~4-8).
-        let run = run(300, 6);
+        let run = run_threads(300, 6, WORKERS);
         let epochs = analysis::split_epochs(&run.events);
         let median = analysis::tx_stats(&epochs).median().unwrap();
         assert!((3..=15).contains(&median), "vacation median {median}");
@@ -517,14 +514,14 @@ mod tests {
 
     #[test]
     fn pm_fraction_lowest_of_suite() {
-        let run = run(300, 6);
+        let run = run_threads(300, 6, WORKERS);
         let f = run.stats.pm_fraction();
         assert!(f < 0.03, "vacation PM fraction {f}");
     }
 
     #[test]
     fn cross_deps_exist_but_rare() {
-        let run = run(500, 8);
+        let run = run_threads(500, 8, WORKERS);
         let epochs = analysis::split_epochs(&run.events);
         let deps = analysis::dependencies(&epochs);
         assert!(

@@ -403,117 +403,40 @@ fn main() {
         pmobs::trace::set_enabled(true);
     }
 
-    if let Some(path) = from_trace {
-        // Offline mode: analyze an archived trace instead of running.
-        let bytes =
-            std::fs::read(&path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-        let events = pmtrace::decode_events(&bytes)
-            .unwrap_or_else(|e| die(&format!("cannot decode {path}: {e}")));
-        let duration_ns = events.last().map(|e| e.at_ns).unwrap_or(0);
-        let run = whisper::apps::AppRun {
-            name: path.clone(),
-            workload: "archived trace".into(),
-            events,
-            stats: memsim::MemStats::default(),
-            duration_ns,
-            threads: 4,
-        };
-        // The Figure 10 table only renders the named gem5-subset apps,
-        // which an archive path can never match — skip the replay
-        // rather than pay for five passes nobody will see.
-        let analysis = analyze(&run);
-        let results = vec![AppResult { run, analysis }];
-        let served = run_serve_sweep(
-            serve_sweep,
-            profile,
-            &serve_json_path,
-            &profile_json_path,
-            &cfg,
-            serve_shards,
-            serve_arrival,
+    // Offline mode analyzes an archived trace instead of running the
+    // suite; either way the results take the same output path below.
+    let results = if let Some(path) = from_trace {
+        load_archived_trace(&path)
+    } else {
+        if timing {
+            run_timing_comparison(&names, &cfg);
+            return;
+        }
+
+        pmobs::info!(
+            "running {} app(s) at scale {} (seed {}, {} worker{})...",
+            names.len(),
+            cfg.scale,
+            cfg.seed,
+            cfg.parallelism,
+            if cfg.parallelism == 1 { "" } else { "s" },
         );
-        export_trace(&trace_path);
-        let checks = run_checks(check_traces, &check_json_path, &results, check_rules);
-        let graphs = run_graphs(&check_graph_dir, &results);
-        let crash = run_crash(crash_campaign, &crash_json_path, &cfg);
-        let crossval = run_crossval_gate(crossval_gate, &crossval_json_path, &cfg);
-        let optimized = run_optimize(optimize_sweep, &optimize_json_path, &results, &cfg);
-        write_json_report(
-            &json_path,
-            &json_det_path,
-            &results,
-            &cfg,
-            checks.as_deref(),
-            check_rules,
-            crash.as_ref(),
-            served.as_ref(),
-            optimized.as_ref(),
-            graphs.as_deref(),
-            crossval.as_ref(),
-        );
-        println!("{}", report::all(&results));
-        if let Some(checks) = &checks {
-            print!("\n{}", check::summary_table(checks));
-        }
-        if let Some(graphs) = &graphs {
-            print!("\n{}", hbgraph::summary_table(graphs));
-        }
-        if let Some((reports, ccfg)) = &crash {
-            print!("\n{}", crashtest::summary_table(reports, ccfg));
-        }
-        if let Some(cv) = &crossval {
-            print!("\n{}", cv.summary_table());
-        }
-        if let Some(opt) = &optimized {
-            print!("\n{}", optimize::summary_table(opt));
-        }
-        if let Some(s) = &served {
-            print!("\n{}", report::serve_table(&s.reports, s.scfg.arrival));
-            if let Some(profiles) = &s.profiles {
-                print!("\n{}", profile_table(profiles));
+        let started = Instant::now();
+        let results = run_apps(&names, &cfg);
+        pmobs::info!("suite finished in {:.2?}", started.elapsed());
+
+        if let Some(dir) = &dump_dir {
+            std::fs::create_dir_all(dir)
+                .unwrap_or_else(|e| die(&format!("cannot create {dir}: {e}")));
+            for r in &results {
+                let path = format!("{dir}/{}.wtr", r.run.name);
+                std::fs::write(&path, pmtrace::encode_events(&r.run.events))
+                    .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+                pmobs::info!("trace archived to {path}");
             }
         }
-        if let Some(checks) = &checks {
-            exit_if_check_failed(checks);
-        }
-        if let Some((reports, _)) = &crash {
-            exit_if_crash_failed(reports);
-        }
-        if let Some(cv) = &crossval {
-            exit_if_crossval_failed(cv);
-        }
-        if let Some(opt) = &optimized {
-            exit_if_optimize_failed(opt);
-        }
-        return;
-    }
-
-    if timing {
-        run_timing_comparison(&names, &cfg);
-        return;
-    }
-
-    pmobs::info!(
-        "running {} app(s) at scale {} (seed {}, {} worker{})...",
-        names.len(),
-        cfg.scale,
-        cfg.seed,
-        cfg.parallelism,
-        if cfg.parallelism == 1 { "" } else { "s" },
-    );
-    let started = Instant::now();
-    let results = run_apps(&names, &cfg);
-    pmobs::info!("suite finished in {:.2?}", started.elapsed());
-
-    if let Some(dir) = &dump_dir {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("cannot create {dir}: {e}")));
-        for r in &results {
-            let path = format!("{dir}/{}.wtr", r.run.name);
-            std::fs::write(&path, pmtrace::encode_events(&r.run.events))
-                .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-            pmobs::info!("trace archived to {path}");
-        }
-    }
+        results
+    };
 
     let served = run_serve_sweep(
         serve_sweep,
@@ -594,6 +517,27 @@ fn main() {
     }
 }
 
+/// `--from-trace`: decode an archived trace into a one-row result set.
+/// The Figure 10 table only renders the named gem5-subset apps, which
+/// an archive path can never match, so the replay is skipped rather
+/// than paid for five passes nobody will see.
+fn load_archived_trace(path: &str) -> Vec<AppResult> {
+    let bytes = std::fs::read(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
+    let events = pmtrace::decode_events(&bytes)
+        .unwrap_or_else(|e| die(&format!("cannot decode {path}: {e}")));
+    let duration_ns = events.last().map(|e| e.at_ns).unwrap_or(0);
+    let run = whisper::apps::AppRun {
+        name: path.to_string(),
+        workload: "archived trace".into(),
+        events,
+        stats: memsim::MemStats::default(),
+        duration_ns,
+        threads: 4,
+    };
+    let analysis = analyze(&run);
+    vec![AppResult { run, analysis }]
+}
+
 /// `--trace`: drain the collected tracks, write Chrome trace-event
 /// JSON, and disable tracing — later phases (checks, crash) re-run
 /// workloads internally and must not record into a file already
@@ -642,7 +586,7 @@ fn run_graphs(dir: &Option<String>, results: &[AppResult]) -> Option<Vec<AppGrap
     Some(graphs)
 }
 
-/// `--crossval`: replay the crash-campaign registry with tracing on,
+/// `--crossval`: replay every `APPS` crash workload with tracing on,
 /// compare every materialized image against the HB analysis's proven
 /// durable set, and run the seeded epoch-race positive control. Writes
 /// the standalone document if `--crossval-json` asked for one. Reuses

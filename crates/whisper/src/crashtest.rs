@@ -13,9 +13,12 @@
 //!
 //! # The oracle contract
 //!
-//! Each app module exposes `crash_run(ops, points) -> CrashRun`: it
-//! drives `ops` logical operations against a fresh machine (untraced —
-//! the campaign measures recoverability, not rates), calls
+//! Each [`crate::apps::APPS`] row names a `crash_run(ops, &Arm) ->
+//! CrashRun` driver: it builds its persistent state on a fresh machine,
+//! passes the `Arm { points, trace, elide }` to `arm` (the crash plan,
+//! plus the trace and elision plan crossval and the optimizer ask for;
+//! plain campaign runs stay untraced — the campaign measures
+//! recoverability, not rates), drives `ops` logical operations, calls
 //! [`memsim::Machine::note_progress`] after each *fully committed*
 //! operation, and returns the captured states plus an oracle closure.
 //! The oracle receives a materialized image and the progress value at
@@ -46,14 +49,12 @@
 //! uncommitted transactions still exercise every rollback/replay path.
 //! See DESIGN.md § Crash testing.
 
-use crate::suite::default_parallelism;
+use crate::apps::{AppSpec, APPS};
+use crate::suite::{default_parallelism, fan_out};
 use memsim::{CrashCounter, CrashPlan, CrashSpec, CrashState, ElidePlan, ElideStats, Machine};
 use pmem::PmImage;
 use pmobs::Json;
 use pmtrace::{Event, EventKind, TraceBuffer};
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// A recovery oracle: given a materialized crash image and the
 /// `note_progress` value at the capture point, re-open the app's state
@@ -71,9 +72,9 @@ pub struct CrashRun {
     /// One captured state per requested crash point.
     pub states: Vec<CrashState>,
     /// The machine trace of the measured interval (arm → harvest) —
-    /// empty unless the run was wrapped in [`with_arm_options`] asking
-    /// for one. The optimizer checks this trace to decide which
-    /// flush/fence ordinals its elision plan may skip.
+    /// empty unless the run's `Arm` asked for one. The optimizer
+    /// checks this trace to decide which flush/fence ordinals its
+    /// elision plan may skip; crossval proves durability from it.
     pub trace: Vec<Event>,
     /// What an armed elision plan did during the run (`None` in plain
     /// campaign runs).
@@ -82,56 +83,38 @@ pub struct CrashRun {
     pub oracle: Oracle,
 }
 
-/// Extra arming the optimized campaign needs, delivered out of band.
-///
-/// The eleven `crash_run` entry points share the `(ops, points)`
-/// signature through the [`Runner`] fn-pointer registry; rather than
-/// widening all of them for the optimizer's sake, the campaign driver
-/// stashes these options in a thread-local that [`arm`] consumes. Both
-/// the serial and the worker-pool campaign paths invoke the runner
-/// synchronously on the thread that set the options, so the handoff is
-/// race-free.
+/// How a crash driver arms its machine: the crash points to capture,
+/// whether to record the trace, and an optional elision plan. The
+/// default is a plain untraced probe.
 #[derive(Debug, Default)]
-pub(crate) struct ArmOptions {
+pub(crate) struct Arm<'a> {
+    /// Fence ordinals to capture at; empty = probe for the fence total.
+    pub(crate) points: &'a [u64],
     /// Record the machine trace from arm to harvest.
     pub(crate) trace: bool,
     /// Arm this elision plan alongside the crash plan.
-    pub(crate) elide: Option<ElidePlan>,
+    pub(crate) elide: Option<&'a ElidePlan>,
 }
 
-thread_local! {
-    static ARM_OPTS: RefCell<Option<ArmOptions>> = const { RefCell::new(None) };
-}
-
-/// Run `f` (a single `crash_run` invocation) with `opts` applied at its
-/// [`arm`] call.
-pub(crate) fn with_arm_options<T>(opts: ArmOptions, f: impl FnOnce() -> T) -> T {
-    ARM_OPTS.with(|c| *c.borrow_mut() = Some(opts));
-    let out = f();
-    ARM_OPTS.with(|c| *c.borrow_mut() = None);
-    out
-}
-
-/// Arm `m` with a fence-counting plan: a probe when `points` is empty,
-/// a capturing plan otherwise. Applies any pending [`ArmOptions`].
-pub(crate) fn arm(m: &mut Machine, points: &[u64]) {
-    if let Some(opts) = ARM_OPTS.with(|c| c.borrow_mut().take()) {
-        if opts.trace {
-            let t = m.trace_mut();
-            t.clear();
-            t.set_enabled(true);
-        }
-        if let Some(plan) = opts.elide {
-            // Armed here, not earlier: elision ordinals are counted
-            // from the same instant the trace (and the checker's view)
-            // starts, so finding ordinals and machine ordinals line up.
-            m.set_elide_plan(plan);
-        }
+/// Arm `m` as `how` asks: a fence-counting probe when `how.points` is
+/// empty, a capturing plan otherwise, plus the requested trace and
+/// elision plan.
+pub(crate) fn arm(m: &mut Machine, how: &Arm<'_>) {
+    if how.trace {
+        let t = m.trace_mut();
+        t.clear();
+        t.set_enabled(true);
     }
-    let plan = if points.is_empty() {
+    if let Some(plan) = how.elide {
+        // Armed here, not earlier: elision ordinals are counted from
+        // the same instant the trace (and the checker's view) starts,
+        // so finding ordinals and machine ordinals line up.
+        m.set_elide_plan(plan.clone());
+    }
+    let plan = if how.points.is_empty() {
         CrashPlan::probe(CrashCounter::Fences)
     } else {
-        CrashPlan::at_points(CrashCounter::Fences, points.to_vec())
+        CrashPlan::at_points(CrashCounter::Fences, how.points.to_vec())
     };
     m.set_crash_plan(plan);
 }
@@ -207,26 +190,8 @@ pub struct AppCrashReport {
     pub failures: Vec<CrashFailure>,
 }
 
-pub(crate) type Runner = fn(usize, &[u64]) -> CrashRun;
-
-/// The campaign registry: Table 1 name, crash-workload op count, and
-/// the app's `crash_run` entry point. Op counts are fixed (not suite-
-/// scaled): the campaign sweeps *coverage* of recovery paths, and these
-/// counts are tuned so every app reaches steady state while the full
-/// sweep stays test-suite fast.
-pub(crate) const ROWS: [(&str, usize, Runner); 11] = [
-    ("echo", 40, crate::apps::echo::crash_run),
-    ("nstore-ycsb", 64, crate::apps::nstore::crash_run_ycsb),
-    ("nstore-tpcc", 32, crate::apps::nstore::crash_run_tpcc),
-    ("redis", 96, crate::apps::redis::crash_run),
-    ("ctree", 96, crate::apps::micro::crash_run_ctree),
-    ("hashmap", 96, crate::apps::micro::crash_run_hashmap),
-    ("vacation", 64, crate::apps::vacation::crash_run),
-    ("memcached", 80, crate::apps::memcached::crash_run),
-    ("nfs", 40, crate::apps::fsapps::crash_run_nfs),
-    ("exim", 16, crate::apps::fsapps::crash_run_exim),
-    ("mysql", 24, crate::apps::fsapps::crash_run_mysql),
-];
+/// A crash driver: `(ops, arming) -> CrashRun` (see the module docs).
+pub(crate) type Runner = fn(usize, &Arm<'_>) -> CrashRun;
 
 /// Spread `k` crash points evenly across `1..=total` (sorted, deduped;
 /// fewer than `k` only when `total` is smaller than `k`).
@@ -257,6 +222,28 @@ pub(crate) fn spec_name(spec: CrashSpec) -> String {
     }
 }
 
+/// Materialize every captured point under the whole [`specs`] lattice,
+/// calling `visit(point index, state, spec, image, reference)` on each
+/// image in point-then-spec order, where `reference` is the point's
+/// [`CrashSpec::DropVolatile`] image (the lattice's first spec, so
+/// `image` and `reference` coincide on it). Returns the image count.
+pub(crate) fn for_each_image(
+    states: &[CrashState],
+    adversarial_seeds: u64,
+    mut visit: impl FnMut(usize, &CrashState, CrashSpec, &PmImage, &PmImage),
+) -> usize {
+    let specs = specs(adversarial_seeds);
+    debug_assert_eq!(specs[0], CrashSpec::DropVolatile);
+    for (i, state) in states.iter().enumerate() {
+        let reference = state.materialize(specs[0]);
+        visit(i, state, specs[0], &reference, &reference);
+        for &spec in &specs[1..] {
+            visit(i, state, spec, &state.materialize(spec), &reference);
+        }
+    }
+    states.len() * specs.len()
+}
+
 /// Judge a captured run: materialize every point × spec image and run
 /// the oracle over each.
 fn judge(
@@ -266,13 +253,12 @@ fn judge(
     cfg: &CampaignConfig,
 ) -> AppCrashReport {
     debug_assert_eq!(run.states.len(), points.len());
-    let mut images = 0usize;
     let mut failures = Vec::new();
-    for state in &run.states {
-        for spec in specs(cfg.adversarial_seeds) {
-            let img = state.materialize(spec);
-            images += 1;
-            if let Err(error) = (run.oracle)(&img, state.progress()) {
+    let images = for_each_image(
+        &run.states,
+        cfg.adversarial_seeds,
+        |_, state, spec, img, _| {
+            if let Err(error) = (run.oracle)(img, state.progress()) {
                 failures.push(CrashFailure {
                     at: state.at(),
                     progress: state.progress(),
@@ -280,8 +266,8 @@ fn judge(
                     error,
                 });
             }
-        }
-    }
+        },
+    );
     pmobs::count!("crash.images", images as u64);
     pmobs::count!("crash.failures", failures.len() as u64);
     AppCrashReport {
@@ -294,56 +280,32 @@ fn judge(
     }
 }
 
+/// Probe `app`'s crash workload for its fence total and spread
+/// `cfg.points` crash points across it.
+pub(crate) fn probe_points(app: &AppSpec, cfg: &CampaignConfig) -> Vec<u64> {
+    let probe = (app.crash_run)(app.crash_ops, &Arm::default());
+    spread_points(probe.total_events, cfg.points)
+}
+
 /// Run one row: probe for the fence total, re-run with the spread
 /// points armed, then judge every point × spec image.
-fn run_row(name: &'static str, ops: usize, runner: Runner, cfg: &CampaignConfig) -> AppCrashReport {
-    let _span = pmobs::span!("crash.row", name);
-    let probe = runner(ops, &[]);
-    let points = spread_points(probe.total_events, cfg.points);
-    let run = runner(ops, &points);
-    judge(name, points, &run, cfg)
+fn run_row(app: &AppSpec, cfg: &CampaignConfig) -> AppCrashReport {
+    let _span = pmobs::span!("crash.row", app.name);
+    let points = probe_points(app, cfg);
+    let run = (app.crash_run)(
+        app.crash_ops,
+        &Arm {
+            points: &points,
+            ..Arm::default()
+        },
+    );
+    judge(app.name, points, &run, cfg)
 }
 
-/// Fan the eleven rows out across `workers` threads (serial when 1),
-/// returning results in Table 1 order. Each row is a self-contained
-/// seeded machine, so results are identical whatever the parallelism.
-pub(crate) fn fan_rows<R: Send>(
-    workers: usize,
-    per_row: impl Fn(&'static str, usize, Runner) -> R + Sync,
-) -> Vec<R> {
-    let workers = workers.clamp(1, ROWS.len());
-    if workers == 1 {
-        return ROWS
-            .iter()
-            .map(|(name, ops, runner)| per_row(name, *ops, *runner))
-            .collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let finished: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(ROWS.len()));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some((name, ops, runner)) = ROWS.get(i) else {
-                    break;
-                };
-                let report = per_row(name, *ops, *runner);
-                finished.lock().unwrap().push((i, report));
-            });
-        }
-    });
-    let mut slots = finished.into_inner().unwrap();
-    slots.sort_unstable_by_key(|(i, _)| *i);
-    slots.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Run the whole campaign across `cfg.parallelism` workers. Reports
-/// come back in Table 1 order.
+/// Run the whole campaign, the [`APPS`] rows fanned out across
+/// `cfg.parallelism` workers. Reports come back in Table 1 order.
 pub fn run_campaign(cfg: &CampaignConfig) -> Vec<AppCrashReport> {
-    fan_rows(cfg.parallelism, |name, ops, runner| {
-        run_row(name, ops, runner, cfg)
-    })
+    fan_out(cfg.parallelism, &APPS, |_, app| run_row(app, cfg))
 }
 
 /// One row's outcome under the *optimized* schedule: the regular
@@ -391,20 +353,16 @@ fn flush_fence_ordinals(trace: &[Event]) -> Vec<u64> {
 /// Run one row under the optimizer: trace a probe, rewrite its trace,
 /// re-run with the flagged flush/fence ordinals machine-elided, and
 /// judge the elided run under the full spec lattice.
-fn run_optimized_row(
-    name: &'static str,
-    ops: usize,
-    runner: Runner,
-    cfg: &CampaignConfig,
-) -> OptimizedCrashReport {
-    let _span = pmobs::span!("crash.optimized_row", name);
+fn run_optimized_row(app: &AppSpec, cfg: &CampaignConfig) -> OptimizedCrashReport {
+    let _span = pmobs::span!("crash.optimized_row", app.name);
+    let (ops, runner) = (app.crash_ops, app.crash_run);
     // 1. Traced probe: what does the checker flag in this workload?
-    let probe = with_arm_options(
-        ArmOptions {
+    let probe = runner(
+        ops,
+        &Arm {
             trace: true,
-            elide: None,
+            ..Arm::default()
         },
-        || runner(ops, &[]),
     );
     let rw = pmcheck::rewrite_events(&probe.trace);
     let ords = flush_fence_ordinals(&probe.trace);
@@ -424,27 +382,28 @@ fn run_optimized_row(
 
     // 2. Elided probe: the optimized run has fewer fences, so its own
     // total defines the sweepable crash-point range.
-    let elided_probe = with_arm_options(
-        ArmOptions {
-            trace: false,
-            elide: Some(plan.clone()),
+    let elided_probe = runner(
+        ops,
+        &Arm {
+            elide: Some(&plan),
+            ..Arm::default()
         },
-        || runner(ops, &[]),
     );
     let points = spread_points(elided_probe.total_events, cfg.points);
 
     // 3. Elided capture run, judged exactly like the plain campaign —
     // every recovery oracle must still pass on the optimized schedule.
-    let run = with_arm_options(
-        ArmOptions {
+    let run = runner(
+        ops,
+        &Arm {
+            points: &points,
             trace: false,
-            elide: Some(plan),
+            elide: Some(&plan),
         },
-        || runner(ops, &points),
     );
     let elide = run.elide.unwrap_or_default();
     OptimizedCrashReport {
-        report: judge(name, points, &run, cfg),
+        report: judge(app.name, points, &run, cfg),
         baseline_fences: probe.total_events,
         planned_flushes: rw.elided_flushes,
         planned_fences: rw.elided_fences,
@@ -457,9 +416,7 @@ fn run_optimized_row(
 /// soundness gate for `whisper-report --optimize`. Reports come back
 /// in Table 1 order.
 pub fn run_optimized_campaign(cfg: &CampaignConfig) -> Vec<OptimizedCrashReport> {
-    fan_rows(cfg.parallelism, |name, ops, runner| {
-        run_optimized_row(name, ops, runner, cfg)
-    })
+    fan_out(cfg.parallelism, &APPS, |_, app| run_optimized_row(app, cfg))
 }
 
 /// Total oracle rejections across an optimized campaign.
@@ -572,8 +529,12 @@ mod tests {
         // (as happens when rows land on different campaign workers)
         // must capture identical states and materialize identical
         // adversarial images.
-        let a = crate::apps::micro::crash_run_hashmap(24, &[7, 19]);
-        let b = crate::apps::micro::crash_run_hashmap(24, &[7, 19]);
+        let at = Arm {
+            points: &[7, 19],
+            ..Arm::default()
+        };
+        let a = crate::apps::micro::crash_run_hashmap(24, &at);
+        let b = crate::apps::micro::crash_run_hashmap(24, &at);
         assert_eq!(a.states.len(), 2);
         for (sa, sb) in a.states.iter().zip(&b.states) {
             assert_eq!(sa.digest(), sb.digest());
@@ -588,7 +549,13 @@ mod tests {
     fn oracles_reject_corrupted_images() {
         // Guard against vacuous oracles: a zeroed image (bad engine
         // log, bad structure headers) must be rejected.
-        let run = crate::apps::redis::crash_run(24, &[9]);
+        let run = crate::apps::redis::crash_run(
+            24,
+            &Arm {
+                points: &[9],
+                ..Arm::default()
+            },
+        );
         let state = &run.states[0];
         let mut img = state.materialize(CrashSpec::PersistAll);
         let lines: Vec<_> = img.lines().map(|(l, _)| l).collect();
@@ -596,11 +563,6 @@ mod tests {
             img.set_line(l, [0u8; 64]);
         }
         assert!((run.oracle)(&img, state.progress()).is_err());
-    }
-
-    #[test]
-    fn registry_matches_table1_order() {
-        assert!(ROWS.iter().map(|(n, _, _)| *n).eq(crate::suite::APP_NAMES));
     }
 
     #[test]
@@ -613,8 +575,7 @@ mod tests {
             adversarial_seeds: 2,
             parallelism: 1,
         };
-        let (name, ops, runner) = ROWS.iter().find(|(n, _, _)| *n == "ctree").unwrap();
-        let opt = run_optimized_row(name, *ops, *runner, &cfg);
+        let opt = run_optimized_row(crate::apps::spec("ctree"), &cfg);
         assert!(opt.planned_fences > 0, "no fences planned: {opt:?}");
         assert!(opt.elide.elided_total() > 0, "nothing elided: {opt:?}");
         assert!(opt.report.failures.is_empty(), "{:?}", opt.report.failures);

@@ -27,10 +27,9 @@
 //! Both run under the campaign's quick shape by default: 11 apps ×
 //! 4 points × 10 specs = 440 images.
 
-use crate::crashtest::{
-    arm, fan_rows, spec_name, specs, spread_points, with_arm_options, ArmOptions, CampaignConfig,
-    Runner,
-};
+use crate::apps::{AppSpec, APPS};
+use crate::crashtest::{arm, for_each_image, probe_points, spec_name, Arm, CampaignConfig};
+use crate::suite::fan_out;
 use memsim::{CrashSpec, Machine, MachineConfig};
 use pmcheck::hb::durable_lines_at_fences;
 use pmem::Line;
@@ -214,30 +213,28 @@ impl CrossvalReport {
 /// Cross-validate one campaign row: traced capture run, HB durability
 /// proof at the swept points, then every point × spec image compared
 /// against its `DropVolatile` reference on the proven lines.
-fn run_row(name: &'static str, ops: usize, runner: Runner, cfg: &CampaignConfig) -> AppCrossval {
-    let _span = pmobs::span!("crossval.row", name);
-    let probe = runner(ops, &[]);
-    let points = spread_points(probe.total_events, cfg.points);
-    let run = with_arm_options(
-        ArmOptions {
+fn run_row(app: &AppSpec, cfg: &CampaignConfig) -> AppCrossval {
+    let _span = pmobs::span!("crossval.row", app.name);
+    let points = probe_points(app, cfg);
+    let run = (app.crash_run)(
+        app.crash_ops,
+        &Arm {
+            points: &points,
             trace: true,
             elide: None,
         },
-        || runner(ops, &points),
     );
     debug_assert_eq!(run.states.len(), points.len());
     let proven = durable_lines_at_fences(&run.trace, &points);
-    let mut images = 0usize;
     let mut violations = Vec::new();
-    for (state, proven_here) in run.states.iter().zip(&proven) {
-        let reference = state.materialize(CrashSpec::DropVolatile);
-        for spec in specs(cfg.adversarial_seeds) {
-            let img = state.materialize(spec);
-            images += 1;
+    let images = for_each_image(
+        &run.states,
+        cfg.adversarial_seeds,
+        |i, state, spec, img, reference| {
             let flipped: Vec<u64> = img
-                .diff_lines(&reference)
+                .diff_lines(reference)
                 .into_iter()
-                .filter(|l| proven_here.binary_search(l).is_ok())
+                .filter(|l| proven[i].binary_search(l).is_ok())
                 .map(|l| l.0)
                 .collect();
             if !flipped.is_empty() {
@@ -247,12 +244,12 @@ fn run_row(name: &'static str, ops: usize, runner: Runner, cfg: &CampaignConfig)
                     lines: flipped,
                 });
             }
-        }
-    }
+        },
+    );
     pmobs::count!("crossval.images", images as u64);
     pmobs::count!("crossval.violations", violations.len() as u64);
     AppCrossval {
-        name,
+        name: app.name,
         points,
         images,
         proven_lines: proven.iter().map(Vec::len).collect(),
@@ -270,12 +267,14 @@ pub fn positive_control(seeds: u64) -> ControlReport {
     let mut m = Machine::new(MachineConfig::tiny_for_tests());
     let base = m.config().map.pm.base;
     let line = Line::containing(base);
-    {
-        let t = m.trace_mut();
-        t.clear();
-        t.set_enabled(true);
-    }
-    arm(&mut m, &[1]);
+    arm(
+        &mut m,
+        &Arm {
+            points: &[1],
+            trace: true,
+            elide: None,
+        },
+    );
     // T0 writes A; T1 flushes the dirty line, parking snapshot A in its
     // pending set; T0 overwrites with B and persists it. At T0's fence
     // the durable bytes are B while T1's stale snapshot A is still in
@@ -315,9 +314,7 @@ pub fn positive_control(seeds: u64) -> ControlReport {
 /// Run the whole cross-validation: all eleven rows (fanned out like
 /// the campaign) plus the positive control.
 pub fn run_crossval(cfg: &CampaignConfig) -> CrossvalReport {
-    let apps = fan_rows(cfg.parallelism, |name, ops, runner| {
-        run_row(name, ops, runner, cfg)
-    });
+    let apps = fan_out(cfg.parallelism, &APPS, |_, app| run_row(app, cfg));
     let control = positive_control(cfg.adversarial_seeds);
     CrossvalReport { apps, control }
 }
@@ -325,7 +322,6 @@ pub fn run_crossval(cfg: &CampaignConfig) -> CrossvalReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crashtest::ROWS;
 
     #[test]
     fn positive_control_is_live_ammunition() {
@@ -343,13 +339,12 @@ mod tests {
 
     #[test]
     fn echo_row_is_sound_and_non_vacuous() {
-        let (name, ops, runner) = ROWS[0];
         let cfg = CampaignConfig {
             points: 3,
             adversarial_seeds: 4,
             parallelism: 1,
         };
-        let row = run_row(name, ops, runner, &cfg);
+        let row = run_row(&APPS[0], &cfg);
         assert_eq!(row.images, row.points.len() * 6); // 2 corners + 4 seeds
         assert!(
             row.violations.is_empty(),

@@ -7,6 +7,7 @@
 //! simulated latency model; the paper's claims are about relative
 //! magnitudes and distributions.
 
+use crate::apps::{self, AccessLayer};
 use crate::suite::{AppResult, SIM_APPS};
 use hops::PersistModel;
 use pmtrace::analysis::SIZE_BUCKET_LABELS;
@@ -132,6 +133,12 @@ pub const PAPER_FIG10_AVG: [(PersistModel, f64); 5] = [
 
 fn paper_row(name: &str) -> Option<&'static PaperRow> {
     PAPER.iter().find(|r| r.name == name)
+}
+
+/// The access layer of the app behind a result row (`None` for rows
+/// that are not an [`apps::APPS`] entry, such as archived traces).
+fn layer(r: &AppResult) -> Option<AccessLayer> {
+    apps::lookup(&r.run.name).map(|a| a.layer)
 }
 
 fn fmt_rate(r: f64) -> String {
@@ -329,12 +336,12 @@ pub fn amplification(results: &[AppResult]) -> String {
         "Section 5.2 — Write amplification (overhead bytes per user byte)"
     );
     let _ = writeln!(out, "{:<14} {:>10}  paper", "benchmark", "measured");
-    let paper_amp = |name: &str| match name {
-        "nfs" | "exim" | "mysql" => "~0.1 (PMFS)",
-        "vacation" | "memcached" => "3-6 (Mnemosyne)",
-        "redis" | "ctree" | "hashmap" => "~10 (NVML)",
-        "echo" | "nstore-ycsb" | "nstore-tpcc" => "2-14 (N-store)",
-        _ => "",
+    let paper_amp = |r: &AppResult| match layer(r) {
+        Some(AccessLayer::Pmfs) => "~0.1 (PMFS)",
+        Some(AccessLayer::Mnemosyne) => "3-6 (Mnemosyne)",
+        Some(AccessLayer::Nvml) => "~10 (NVML)",
+        Some(AccessLayer::Native) => "2-14 (N-store)",
+        None => "",
     };
     for r in results {
         let a = r
@@ -343,13 +350,7 @@ pub fn amplification(results: &[AppResult]) -> String {
             .amplification()
             .map(|a| format!("{a:.2}x"))
             .unwrap_or_else(|| "n/a".into());
-        let _ = writeln!(
-            out,
-            "{:<14} {:>10}  {}",
-            r.run.name,
-            a,
-            paper_amp(&r.run.name)
-        );
+        let _ = writeln!(out, "{:<14} {:>10}  {}", r.run.name, a, paper_amp(r));
     }
     out
 }
@@ -359,9 +360,9 @@ pub fn nt_fraction(results: &[AppResult]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Section 5.2 — Non-temporal store fraction of PM bytes");
     let _ = writeln!(out, "{:<14} {:>10}  paper", "benchmark", "measured");
-    let paper_nt = |name: &str| match name {
-        "nfs" | "exim" | "mysql" => "~96% (PMFS)",
-        "vacation" | "memcached" => "~67% (Mnemosyne)",
+    let paper_nt = |r: &AppResult| match layer(r) {
+        Some(AccessLayer::Pmfs) => "~96% (PMFS)",
+        Some(AccessLayer::Mnemosyne) => "~67% (Mnemosyne)",
         _ => "",
     };
     for r in results {
@@ -370,13 +371,7 @@ pub fn nt_fraction(results: &[AppResult]) -> String {
             .nt_fraction
             .map(|f| format!("{:.0}%", f * 100.0))
             .unwrap_or_else(|| "n/a".into());
-        let _ = writeln!(
-            out,
-            "{:<14} {:>10}  {}",
-            r.run.name,
-            v,
-            paper_nt(&r.run.name)
-        );
+        let _ = writeln!(out, "{:<14} {:>10}  {}", r.run.name, v, paper_nt(r));
     }
     out
 }
@@ -407,12 +402,6 @@ pub fn consequences(results: &[AppResult]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Section 5 Consequences — checked against this run");
     let get = |name: &str| results.iter().find(|r| r.run.name == name);
-    let all_lib = |names: &[&str]| -> Vec<&AppResult> {
-        results
-            .iter()
-            .filter(|r| names.contains(&r.run.name.as_str()))
-            .collect()
-    };
     let mut check = |id: u32, text: &str, pass: bool, evidence: String| {
         let mark = if pass { "PASS" } else { "mixed" };
         let _ = writeln!(out, "  C{id:<2} [{mark}] {text}");
@@ -452,16 +441,10 @@ pub fn consequences(results: &[AppResult]) -> String {
     );
 
     // C3: singleton epochs dominate.
-    let native_lib = all_lib(&[
-        "echo",
-        "nstore-ycsb",
-        "nstore-tpcc",
-        "redis",
-        "ctree",
-        "hashmap",
-        "vacation",
-        "memcached",
-    ]);
+    let native_lib: Vec<&AppResult> = results
+        .iter()
+        .filter(|r| layer(r).is_some_and(|l| l != AccessLayer::Pmfs))
+        .collect();
     let avg_singleton = native_lib
         .iter()
         .map(|r| r.analysis.size_hist.singleton_fraction())

@@ -34,15 +34,14 @@
 //! runner, so the serve section reproduces byte-for-byte whatever the
 //! `--parallel` setting — the same property the crash campaign pins.
 
+use crate::apps;
 use crate::profile::{AppProfile, MechanismProfile, TailPoint};
-use crate::suite::{run_named, SuiteConfig, APP_NAMES};
+use crate::suite::{fan_out, run_named, SuiteConfig, APP_NAMES, DEFAULT_WORKER_THREADS};
 use crate::workloads::Zipf;
 use hops::{HopsConfig, PersistModel, Replayer, TimingConfig};
 use pmobs::{Histogram, Json, Unit};
 use pmrand::{Rng, SeedableRng, SmallRng};
 use pmtrace::{Event, EventKind};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The three mechanisms the saturation sweep compares: the `clwb`
 /// baseline, HOPS, and the persistent-write-queue variant of x86.
@@ -353,11 +352,9 @@ pub fn serve_app_full(name: &str, cfg: &ServeConfig) -> (AppServe, AppProfile) {
         scale: cfg.scale,
         seed: cfg.seed,
         parallelism: 1,
-        worker_threads: 4,
+        worker_threads: DEFAULT_WORKER_THREADS,
     };
-    let ops = suite
-        .effective_ops(name)
-        .unwrap_or_else(|| panic!("unknown application {name:?}; expected one of {APP_NAMES:?}"));
+    let ops = suite.ops(apps::spec(name).op_base);
 
     // Calibrate: one seeded run per shard, one (service, stall) pool
     // per mechanism per shard. Calibration runs are warm-up, not the
@@ -625,28 +622,9 @@ pub fn serve_apps(names: &[&str], cfg: &ServeConfig) -> Vec<AppServe> {
 
 /// Sweep a chosen set of applications and keep their phase profiles.
 pub fn serve_apps_profiled(names: &[&str], cfg: &ServeConfig) -> (Vec<AppServe>, Vec<AppProfile>) {
-    let workers = cfg.parallelism.clamp(1, names.len().max(1));
-    let pairs: Vec<(AppServe, AppProfile)> = if workers == 1 {
-        names.iter().map(|n| serve_app_full(n, cfg)).collect()
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let finished: Mutex<Vec<(usize, (AppServe, AppProfile))>> =
-            Mutex::new(Vec::with_capacity(names.len()));
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(name) = names.get(i) else { break };
-                    let result = serve_app_full(name, cfg);
-                    finished.lock().unwrap().push((i, result));
-                });
-            }
-        });
-        let mut slots = finished.into_inner().unwrap();
-        slots.sort_unstable_by_key(|(i, _)| *i);
-        slots.into_iter().map(|(_, r)| r).collect()
-    };
-    pairs.into_iter().unzip()
+    fan_out(cfg.parallelism, names, |_, name| serve_app_full(name, cfg))
+        .into_iter()
+        .unzip()
 }
 
 /// Serialize the sweep for the report's `serve` section (schema v4).

@@ -7,7 +7,7 @@
 //! single streaming pass ([`pmtrace::analysis::Analyzer`]) instead of
 //! one walk per statistic.
 
-use crate::apps::{self, AppRun};
+use crate::apps::{self, AppRun, APPS};
 use hops::{figure10_bars, HopsConfig, PersistModel, TimingConfig};
 use pmtrace::analysis::{
     self, AmplificationReport, Analyzer, DepStats, EpochSizeHistogram, TxStats,
@@ -17,47 +17,32 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// The eleven Table 1 rows (ten applications; N-store contributes two
-/// workloads).
-pub const APP_NAMES: [&str; 11] = [
-    "echo",
-    "nstore-ycsb",
-    "nstore-tpcc",
-    "redis",
-    "ctree",
-    "hashmap",
-    "vacation",
-    "memcached",
-    "nfs",
-    "exim",
-    "mysql",
-];
+/// workloads), in [`APPS`] order.
+pub const APP_NAMES: [&str; 11] = {
+    let mut out = [""; 11];
+    let mut i = 0;
+    while i < APPS.len() {
+        out[i] = APPS[i].name;
+        i += 1;
+    }
+    out
+};
 
-/// Base (scale 1.0) operation counts per Table 1 row — the single
-/// source [`run_app`] scales and the JSON report echoes back as
-/// `config.effective_ops`.
-pub const OP_BASES: [(&str, usize); 11] = [
-    ("echo", 20_000),
-    ("nstore-ycsb", 16_000),
-    ("nstore-tpcc", 3_000),
-    ("redis", 20_000),
-    ("ctree", 16_000),
-    ("hashmap", 16_000),
-    ("vacation", 10_000),
-    ("memcached", 20_000),
-    ("nfs", 4_000),
-    ("exim", 400),
-    ("mysql", 1_500),
-];
-
-/// The six applications the paper runs under gem5 for Figures 6 and 10.
-pub const SIM_APPS: [&str; 6] = [
-    "echo",
-    "nstore-ycsb",
-    "redis",
-    "ctree",
-    "hashmap",
-    "vacation",
-];
+/// The six applications the paper runs under gem5 for Figures 6 and 10:
+/// exactly the [`APPS`] rows with an unpaced driver.
+pub const SIM_APPS: [&str; 6] = {
+    let mut out = [""; 6];
+    let (mut i, mut n) = (0, 0);
+    while i < APPS.len() {
+        if APPS[i].unpaced.is_some() {
+            out[n] = APPS[i].name;
+            n += 1;
+        }
+        i += 1;
+    }
+    assert!(n == out.len(), "SIM_APPS length disagrees with APPS");
+    out
+};
 
 /// Suite-wide knobs.
 #[derive(Debug, Clone, Copy)]
@@ -107,7 +92,7 @@ impl SuiteConfig {
         }
     }
 
-    fn ops(&self, base: usize) -> usize {
+    pub(crate) fn ops(&self, base: usize) -> usize {
         let requested = (base as f64 * self.scale) as usize;
         assert!(
             requested > 0,
@@ -132,12 +117,14 @@ impl SuiteConfig {
     /// rates for work that never happened, so this is a hard config
     /// error (the CLI maps it to exit code 2) rather than a warning.
     pub fn validate(&self) -> Result<(), String> {
-        for (name, base) in OP_BASES {
-            if (base as f64 * self.scale) as usize == 0 {
+        for app in &APPS {
+            if (app.op_base as f64 * self.scale) as usize == 0 {
                 return Err(format!(
-                    "--scale {} yields 0 effective ops for {name} (base {base}); \
+                    "--scale {} yields 0 effective ops for {} (base {}); \
                      use at least {} so every app runs ≥ 1 op",
                     self.scale,
+                    app.name,
+                    app.op_base,
                     1.0 / MIN_OP_BASE as f64
                 ));
             }
@@ -152,13 +139,10 @@ impl SuiteConfig {
     }
 
     /// The operation count [`run_app`] actually runs for `name` at this
-    /// scale — the [`OP_BASES`] base scaled and clamped to the
+    /// scale — the [`APPS`] base scaled and clamped to the
     /// [`MIN_OPS`] floor. `None` for names outside [`APP_NAMES`].
     pub fn effective_ops(&self, name: &str) -> Option<usize> {
-        OP_BASES
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, base)| self.ops(*base))
+        apps::lookup(name).map(|a| self.ops(a.op_base))
     }
 }
 
@@ -169,9 +153,19 @@ impl SuiteConfig {
 /// error instead — see [`SuiteConfig::validate`].
 pub const MIN_OPS: usize = 20;
 
-/// The smallest base in [`OP_BASES`] (exim); `1 / MIN_OP_BASE` is the
+/// The smallest [`APPS`] op base (exim); `1 / MIN_OP_BASE` is the
 /// smallest scale at which every app still runs at least one op.
-pub const MIN_OP_BASE: usize = 400;
+pub const MIN_OP_BASE: usize = {
+    let mut min = usize::MAX;
+    let mut i = 0;
+    while i < APPS.len() {
+        if APPS[i].op_base < min {
+            min = APPS[i].op_base;
+        }
+        i += 1;
+    }
+    min
+};
 
 /// One-shot latch for the op-count floor warning.
 static OPS_FLOOR_WARNED: AtomicBool = AtomicBool::new(false);
@@ -288,25 +282,13 @@ pub fn run_app(name: &str, cfg: &SuiteConfig) -> AppResult {
     // thread runs it.
     let _ctx = pmobs::trace::context(name);
     let seed = cfg.seed;
-    let ops = cfg
-        .effective_ops(name)
-        .unwrap_or_else(|| panic!("unknown application {name:?}; expected one of {APP_NAMES:?}"));
-    let run = run_named_threads(name, ops, seed, cfg.worker_threads);
+    let app = apps::spec(name);
+    let ops = cfg.ops(app.op_base);
+    let run = (app.run)(ops, seed, cfg.worker_threads);
     let mut analysis = analyze(&run);
-    analysis.fig10 = if SIM_APPS.contains(&name) {
-        let sim_ops = ops / 2;
-        let sim = match name {
-            "echo" => apps::echo::run_unpaced(sim_ops, seed),
-            "nstore-ycsb" => apps::nstore::run_ycsb_unpaced(sim_ops, seed),
-            "redis" => apps::redis::run_unpaced(sim_ops, seed),
-            "ctree" => apps::micro::ctree_unpaced(sim_ops, seed),
-            "hashmap" => apps::micro::hashmap_unpaced(sim_ops, seed),
-            "vacation" => apps::vacation::run_unpaced(sim_ops, seed),
-            _ => unreachable!("SIM_APPS covered above"),
-        };
-        fig10_for(&sim.events)
-    } else {
-        fig10_for(&run.events)
+    analysis.fig10 = match app.unpaced {
+        Some(unpaced) => fig10_for(&unpaced(ops / 2, seed).events),
+        None => fig10_for(&run.events),
     };
     pmobs::count!("suite.apps_run");
     if pmobs::enabled() {
@@ -336,20 +318,7 @@ pub fn run_named(name: &str, ops: usize, seed: u64) -> AppRun {
 ///
 /// Panics on an unknown name; the valid names are [`APP_NAMES`].
 pub fn run_named_threads(name: &str, ops: usize, seed: u64, workers: u32) -> AppRun {
-    match name {
-        "echo" => apps::echo::run(ops, seed),
-        "nstore-ycsb" => apps::nstore::run_ycsb(ops, seed),
-        "nstore-tpcc" => apps::nstore::run_tpcc(ops, seed),
-        "redis" => apps::redis::run_threads(ops, seed, workers),
-        "ctree" => apps::ctree(ops, seed),
-        "hashmap" => apps::hashmap(ops, seed),
-        "vacation" => apps::vacation::run_threads(ops, seed, workers),
-        "memcached" => apps::memcached::run_threads(ops, seed, workers),
-        "nfs" => apps::nfs(ops, seed),
-        "exim" => apps::exim(ops, seed),
-        "mysql" => apps::mysql(ops, seed),
-        _ => panic!("unknown application {name:?}; expected one of {APP_NAMES:?}"),
-    }
+    (apps::spec(name).run)(ops, seed, workers)
 }
 
 /// Run the whole suite in Table 1 order, fanned out across
@@ -358,40 +327,53 @@ pub fn run_suite(cfg: &SuiteConfig) -> Vec<AppResult> {
     run_apps(&APP_NAMES, cfg)
 }
 
-/// Run a chosen set of applications, in the given order.
-///
-/// Workers claim applications from a shared cursor, so a slow app
-/// (echo, nstore) does not serialize the rest behind it; results are
-/// reassembled into input order afterwards. Each [`run_app`] call
-/// builds its own machine, trace, and RNG from `cfg.seed`, so the
-/// result is identical — event-for-event — whatever the parallelism.
+/// Run a chosen set of applications, in the given order, fanned out
+/// across `cfg.parallelism` claim-as-you-go workers so a slow app
+/// (echo, nstore) does not serialize the rest behind it. Each [`run_app`] call builds its own machine, trace, and
+/// RNG from `cfg.seed`, so the result is identical — event-for-event —
+/// whatever the parallelism.
 pub fn run_apps(names: &[&str], cfg: &SuiteConfig) -> Vec<AppResult> {
-    let workers = cfg.parallelism.clamp(1, names.len().max(1));
     // Queue wait = time from suite dispatch until a worker claims the
     // app; host wall-clock, so only sampled when recording is on. The
     // per-app histograms are resolved once here — the claim loop is the
     // dispatch hot path and must not allocate registry names per claim.
     let waits = QueueWaits::register(names);
+    fan_out(cfg.parallelism, names, |i, name| {
+        waits.note(i);
+        run_app(name, cfg)
+    })
+}
+
+/// Apply `f` to every item across `workers` scoped threads (serially on
+/// the caller's thread when `workers` is 1 or 0) and return the results
+/// in input order.
+///
+/// Workers claim items from a shared cursor, so one slow item does not
+/// serialize the rest behind it; results are reassembled into input
+/// order afterwards. Every caller hands in self-contained, seeded work,
+/// so the output is identical whatever the worker count.
+pub(crate) fn fan_out<T: Sync, R: Send>(
+    workers: usize,
+    items: &[T],
+    f: impl Fn(usize, &T) -> R + Sync,
+) -> Vec<R> {
+    let workers = workers.clamp(1, items.len().max(1));
     if workers == 1 {
-        return names
+        return items
             .iter()
             .enumerate()
-            .map(|(i, n)| {
-                waits.note(i);
-                run_app(n, cfg)
-            })
+            .map(|(i, item)| f(i, item))
             .collect();
     }
 
     let cursor = AtomicUsize::new(0);
-    let finished: Mutex<Vec<(usize, AppResult)>> = Mutex::new(Vec::with_capacity(names.len()));
+    let finished: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(name) = names.get(i) else { break };
-                waits.note(i);
-                let result = run_app(name, cfg);
+                let Some(item) = items.get(i) else { break };
+                let result = f(i, item);
                 finished.lock().unwrap().push((i, result));
             });
         }
@@ -478,10 +460,6 @@ mod tests {
         for name in ["exim", "mysql", "nstore-tpcc", "nfs"] {
             assert_eq!(tiny.effective_ops(name), Some(MIN_OPS), "{name}");
         }
-        // OP_BASES enumerates exactly the Table 1 rows, in order, and
-        // MIN_OP_BASE really is the smallest base.
-        assert!(OP_BASES.iter().map(|(n, _)| *n).eq(APP_NAMES));
-        assert_eq!(OP_BASES.iter().map(|(_, b)| *b).min(), Some(MIN_OP_BASE));
     }
 
     #[test]
@@ -631,6 +609,22 @@ mod tests {
         let after = ops_floor_warnings();
         assert!(after <= 1, "warning emitted {after} times");
         assert!(after >= before, "count never goes backwards");
+    }
+
+    #[test]
+    fn fan_out_returns_input_order() {
+        // Uneven work: early items are the slowest, so parallel workers
+        // finish out of order and the reassembly has to restore it.
+        let items: Vec<u64> = (0..9).collect();
+        let expected: Vec<(usize, u64)> = items.iter().map(|&x| (x as usize, x * x)).collect();
+        for workers in 1..=4 {
+            let got = fan_out(workers, &items, |i, &x| {
+                std::thread::sleep(std::time::Duration::from_millis(2 * (9 - x)));
+                (i, x * x)
+            });
+            assert_eq!(got, expected, "{workers} worker(s)");
+        }
+        assert!(fan_out(3, &[] as &[u64], |_, &x| x).is_empty());
     }
 
     #[test]
