@@ -6,17 +6,20 @@
 //!                [--json PATH] [--json-det PATH]
 //!                [--check] [--check-json PATH] [--check-rules ID,..]
 //!                [--check-graph DIR] [--crossval] [--crossval-json PATH]
-//!                [--crash]
-//!                [--crash-json PATH] [--serve] [--serve-json PATH]
-//!                [--serve-arrival paced|bursty] [--serve-shards N]
-//!                [--trace PATH] [--profile] [--profile-json PATH]
+//!                [--crash] [--crash-json PATH]
 //!                [--optimize] [--optimize-json PATH]
+//!                [--serve] [--serve-json PATH]
+//!                [--serve-arrival paced|bursty] [--serve-shards N]
+//!                [--profile] [--profile-json PATH] [--trace PATH]
 //!                [--quiet] [--dump-traces DIR] [--from-trace FILE]
 //!
 //! EXPERIMENT: table1 | fig3 | fig4 | fig5 | fig6 | fig10 |
 //!             amplification | ntfraction | smallwrites |
 //!             consequences | all (default)
 //! ```
+//!
+//! `--help` prints this block; its experiment list is
+//! `whisper::report::SECTIONS`.
 //!
 //! Applications run in parallel across one worker per core by default;
 //! `--parallel N` overrides the worker count (`--parallel 1` forces the
@@ -29,36 +32,38 @@
 //! `--timing` runs the selected applications twice —
 //! serially, then in parallel — and reports each app's wall-clock
 //! (both runners) and simulated durations from the same span data,
-//! plus the overall speedup, instead of a paper table.
+//! plus the overall speedup, instead of a paper table. It takes only
+//! `--scale`, `--seed`, `--apps`, `--parallel`, `--threads` and
+//! `--quiet`; any other flag next to it is a usage error (exit 2)
+//! rather than a gate or output silently skipped.
 //!
-//! `--trace PATH` turns on the simulated-time tracing subsystem
-//! (`pmobs::trace`) for the suite run and the serving sweep, and
-//! writes the merged tracks to PATH as Chrome trace-event JSON (loads
-//! in Perfetto or `chrome://tracing`; one lane per machine, replay
-//! thread, and serve shard). Every timestamp is on the simulated
-//! clock, so the file is byte-identical across hosts and `--parallel`
-//! settings. Tracing is disabled again before `--check`/`--crash`
-//! run, so their internal re-runs never pollute the trace.
+//! # Gates
 //!
-//! `--profile` (implies `--serve`) aggregates each serve request's
-//! simulated time into queue / replay / fence-stall phases per app ×
-//! mechanism (`whisper::profile`), appends the tail-attribution table
-//! to the text report, and populates the JSON report's `profile`
-//! section. `--profile-json PATH` additionally writes just the profile
-//! document to PATH (implies `--profile`).
+//! Every gate below is one `Section`: it runs once, builds one JSON
+//! document, prints one table after the experiment text, and may fail
+//! the run. `--X-json PATH` writes that document to PATH (and implies
+//! `--X`); the same document fills the gate's key in the `--json`
+//! report. Tables print in the order check, graph, crash, crossval,
+//! optimize, serve, profile; the first failing gate in that order sets
+//! the exit code:
+//!
+//! | exit | meaning                                                  |
+//! |------|----------------------------------------------------------|
+//! | 0    | every gate that ran passed                               |
+//! | 2    | usage error (bad flag or value, unknown app/rule/experiment) |
+//! | 3    | `--check`: error-severity persistency violation          |
+//! | 4    | `--crash`: recovery failure                              |
+//! | 6    | `--crossval`: order-impossible crash image or dead control |
+//! | 5    | `--optimize`: soundness-gate violation                   |
 //!
 //! `--check` runs the `pmcheck` persistency checker over every
-//! selected application's trace after the run: findings stream through
-//! the `pmobs` logger, a summary table is appended to the text report,
-//! the JSON report's `violations` section is populated, and the
-//! process exits 3 if any **error**-severity violation was found — the
-//! CI regression gate for durability discipline. `--check-rules ID,..`
-//! restricts the checker to the named rules (implies `--check`; an
-//! unknown rule id is a usage error, exit 2); the selection is recorded
-//! as `rules_enabled` in the violations document so a filtered report
-//! cannot pass for a full one. `--check-json PATH`
-//! additionally writes just the violations document to PATH (implies
-//! `--check`).
+//! selected application's trace (report key `violations`): findings
+//! stream through the `pmobs` logger, and any **error**-severity
+//! violation fails the run — the CI regression gate for durability
+//! discipline. `--check-rules ID,..` restricts the checker to the named
+//! rules (implies `--check`; an unknown rule id is a usage error); the
+//! selection is recorded as `rules_enabled` in the violations document
+//! so a filtered report cannot pass for a full one.
 //!
 //! `--check-graph DIR` builds the per-app epoch dependency graph
 //! (`whisper::hbgraph`, paper §5.2) over every recorded trace, prints
@@ -67,54 +72,56 @@
 //! and `DIR/<app>.dot`.
 //!
 //! `--crossval` cross-validates the happens-before analysis against
-//! the crash campaign (`whisper::crossval`): every materialized crash
-//! image is compared against the lines the HB analysis proves
-//! spec-invariant durable at that point, plus a seeded epoch-race
-//! positive control. The process exits 6 if any image exhibits an
-//! order-impossible state (or the control goes dead) — the CI gate for
-//! HB soundness. `--crossval-json PATH` additionally writes just the
-//! crossval document to PATH (implies `--crossval`).
+//! the crash campaign (`whisper::crossval`, report key `hb.crossval`):
+//! every materialized crash image is compared against the lines the HB
+//! analysis proves spec-invariant durable at that point, plus a seeded
+//! epoch-race positive control. An order-impossible image state (or a
+//! dead control) fails the run — the CI gate for HB soundness.
 //!
 //! `--crash` sweeps the crash-injection campaign
-//! (`whisper::crashtest`) after the suite run: every Table 1 app's
+//! (`whisper::crashtest`, report key `crash`): every Table 1 app's
 //! dedicated crash workload is interrupted at evenly spread fence
 //! points, each captured state is materialized under
 //! drop-volatile/persist-all/adversarial crash specs, and the app's
-//! recovery oracle judges every image. A summary table is appended to
-//! the text report, the JSON report's `crash` section is populated,
-//! and the process exits 4 on any recovery failure — the CI gate for
-//! crash recoverability. `--crash-json PATH` additionally writes just
-//! the campaign document to PATH (implies `--crash`). The campaign
-//! fans out over `--parallel` workers.
+//! recovery oracle judges every image. Any recovery failure fails the
+//! run — the CI gate for crash recoverability.
 //!
-//! `--optimize` runs the ordering optimizer (`whisper::optimize`)
-//! after the suite run: every selected app's trace is rewritten by
+//! `--optimize` runs the ordering optimizer (`whisper::optimize`,
+//! report key `optimize`): every selected app's trace is rewritten by
 //! `pmcheck::rewrite_events` (checker-flagged redundant flushes and
 //! no-work fences elided to a fixpoint), both traces are replayed
 //! under x86-64(NVM), HOPS(NVM), and PWQ to price the earned speedup,
 //! the rewritten trace is re-checked (must be clean of the elided
 //! rules, no new errors), and the full crash campaign is re-run with
 //! the flagged instructions machine-elided (every recovery oracle must
-//! still pass). A summary table is appended to the text report, the
-//! JSON report's `optimize` section is populated, and the process
-//! exits 5 on any gate violation — remaining elidable findings, new
-//! errors, or optimized-schedule recovery failures. `--optimize-json
-//! PATH` additionally writes just the optimize document to PATH
-//! (implies `--optimize`). Both phases fan out over `--parallel`
-//! workers; results never depend on the worker count.
+//! still pass). Any of those violations fails the run.
 //!
-//! `--serve` runs the open-loop serving engine (`whisper::serve`)
-//! after the suite run: each Table 1 app is calibrated across sharded
+//! `--serve` runs the open-loop serving engine (`whisper::serve`,
+//! report key `serve`): each Table 1 app is calibrated across sharded
 //! machines, then swept across offered-load points under paced or
 //! bursty (deterministic-Poisson) arrivals, producing a throughput vs
 //! p50/p90/p99/p999 simulated-latency curve per persistence mechanism
-//! (clwb vs HOPS vs PWQ). The saturation table is appended to the text
-//! report and the JSON report's `serve` section is populated.
-//! `--serve-json PATH` additionally writes just the serve document to
-//! PATH (implies `--serve`); `--serve-arrival` picks the arrival
-//! process (default bursty) and `--serve-shards` the machines per app
-//! (default 4). The sweep fans out over `--parallel` workers; results
-//! are bit-identical whatever the worker count.
+//! (clwb vs HOPS vs PWQ). `--serve-arrival` picks the arrival process
+//! and `--serve-shards` the machines per app (defaults:
+//! `ServeConfig::from_suite`). `--profile` (implies `--serve`, report
+//! key `profile`) adds the queue / replay / fence-stall phase split
+//! per app × mechanism (`whisper::profile`) and its tail-attribution
+//! table. The sweep runs before the other gates and prints last.
+//!
+//! The crash, crossval and optimize campaigns, the optimizer's
+//! rewrite and the serving sweep all fan out over `--parallel` workers;
+//! no result depends on the worker count.
+//!
+//! # Outputs
+//!
+//! `--trace PATH` turns on the simulated-time tracing subsystem
+//! (`pmobs::trace`) for the suite run and the serving sweep, and
+//! writes the merged tracks to PATH as Chrome trace-event JSON (loads
+//! in Perfetto or `chrome://tracing`; one lane per machine, replay
+//! thread, and serve shard). Every timestamp is on the simulated
+//! clock, so the file is byte-identical across hosts and `--parallel`
+//! settings. Tracing is disabled again before the other gates run, so
+//! their internal re-runs never pollute the trace.
 //!
 //! `--json PATH` additionally writes the versioned machine-readable
 //! report (`whisper::json_report`, schema v8) to PATH and turns on
@@ -135,386 +142,303 @@
 //! workload.
 
 use pmcheck::RuleSet;
+use pmobs::Json;
+use std::num::NonZeroUsize;
+use std::str::FromStr;
 use std::time::Instant;
-use whisper::check::{self, AppCheck};
-use whisper::crashtest::{self, AppCrashReport, CampaignConfig};
-use whisper::crossval::CrossvalReport;
-use whisper::hbgraph::{self, AppGraph};
-use whisper::optimize::{self, OptimizeReport};
-use whisper::profile::{profile_json, profile_table, AppProfile};
-use whisper::serve::{self, AppServe, Arrival, ServeConfig};
+use whisper::crashtest::{self, CampaignConfig};
+use whisper::profile::{profile_json, profile_table};
+use whisper::serve::{self, ServeConfig};
 use whisper::suite::{analyze, run_apps, AppResult, SuiteConfig, APP_NAMES};
-use whisper::{json_report, report};
+use whisper::{check, crossval, hbgraph, json_report, optimize, report};
 
-/// Exit code when `--check` found error-severity violations.
-const CHECK_FAILED: i32 = 3;
-/// Exit code when `--crash` found recovery failures.
-const CRASH_FAILED: i32 = 4;
-/// Exit code when `--optimize` violated a soundness gate.
-const OPTIMIZE_FAILED: i32 = 5;
-/// Exit code when `--crossval` found an order-impossible crash image
-/// (or a dead positive control).
-const CROSSVAL_FAILED: i32 = 6;
+/// The flag part of the usage block above; `--help` prints it with the
+/// experiment list from `report::SECTIONS`.
+const USAGE: &str = "\
+whisper-report [EXPERIMENT] [--scale X] [--seed N] [--apps a,b,c]
+               [--parallel N] [--threads N] [--timing]
+               [--json PATH] [--json-det PATH]
+               [--check] [--check-json PATH] [--check-rules ID,..]
+               [--check-graph DIR] [--crossval] [--crossval-json PATH]
+               [--crash] [--crash-json PATH]
+               [--optimize] [--optimize-json PATH]
+               [--serve] [--serve-json PATH]
+               [--serve-arrival paced|bursty] [--serve-shards N]
+               [--profile] [--profile-json PATH] [--trace PATH]
+               [--quiet] [--dump-traces DIR] [--from-trace FILE]";
+
+/// The only flags `--timing` takes: it runs the suite twice and prints
+/// its own table, so it has no gates and writes no file.
+const TIMING_FLAGS: &str = "--timing --scale --seed --apps --parallel --threads --quiet";
+
+/// One gate's on/off switch and its `--X-json` path.
+#[derive(Default)]
+struct Mode {
+    on: bool,
+    json: Option<String>,
+}
+
+/// What one gate produced.
+struct Section {
+    /// Report key the document fills; `hb.graph` and `hb.crossval`
+    /// are the two halves of the `hb` object.
+    key: &'static str,
+    /// Where `--X-json` writes the document on its own.
+    path: Option<String>,
+    json: Json,
+    /// Printed after the experiment text.
+    table: String,
+    /// Exit code and reason when the gate failed.
+    failed: Option<(i32, String)>,
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut experiment = "all".to_string();
+    let mut experiment = "all";
     let mut cfg = SuiteConfig::standard();
+    let mut scfg = ServeConfig::from_suite(&cfg);
     let mut apps: Vec<String> = APP_NAMES.iter().map(ToString::to_string).collect();
-    let mut dump_dir: Option<String> = None;
-    let mut from_trace: Option<String> = None;
-    let mut json_path: Option<String> = None;
-    let mut json_det_path: Option<String> = None;
-    let mut check_traces = false;
-    let mut check_json_path: Option<String> = None;
-    let mut check_rules = RuleSet::all();
-    let mut check_graph_dir: Option<String> = None;
-    let mut crossval_gate = false;
-    let mut crossval_json_path: Option<String> = None;
-    let mut crash_campaign = false;
-    let mut crash_json_path: Option<String> = None;
-    let mut optimize_sweep = false;
-    let mut optimize_json_path: Option<String> = None;
-    let mut serve_sweep = false;
-    let mut serve_json_path: Option<String> = None;
-    let mut serve_arrival = Arrival::Bursty;
-    let mut serve_shards = 4usize;
-    let mut trace_path: Option<String> = None;
-    let mut profile = false;
-    let mut profile_json_path: Option<String> = None;
+    let mut rules = RuleSet::all();
+    let [mut check, mut crossval, mut crash, mut optimize, mut serve, mut profile] =
+        <[Mode; 6]>::default();
+    let [mut json, mut json_det, mut trace, mut graph_dir, mut dump_dir, mut from_trace] =
+        <[Option<String>; 6]>::default();
     let mut timing = false;
+    let mut not_timing = None;
 
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                cfg.scale = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--scale needs a number"));
-            }
-            "--seed" => {
-                i += 1;
-                cfg.seed = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"));
-            }
-            "--parallel" => {
-                i += 1;
-                cfg.parallelism = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--parallel needs a worker count"));
-            }
-            "--threads" => {
-                i += 1;
-                cfg.worker_threads = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--threads needs a worker count (1..=64)"));
+        let flag = args[i].as_str();
+        if flag.starts_with('-') && !TIMING_FLAGS.split(' ').any(|f| f == flag) {
+            not_timing.get_or_insert(flag);
+        }
+        match flag {
+            "--scale" => cfg.scale = arg(&args, &mut i, "a number"),
+            "--seed" => cfg.seed = arg(&args, &mut i, "an integer"),
+            "--parallel" => cfg.parallelism = arg(&args, &mut i, "a worker count"),
+            "--threads" => cfg.worker_threads = arg(&args, &mut i, "a worker count (1..=64)"),
+            "--apps" => {
+                let list: String = arg(&args, &mut i, "a comma-separated list");
+                apps = list.split(',').map(|s| s.trim().to_string()).collect();
             }
             "--timing" => timing = true,
-            "--check" => check_traces = true,
-            "--check-json" => {
-                i += 1;
-                check_traces = true;
-                check_json_path = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| die("--check-json needs an output path"))
-                        .clone(),
-                );
-            }
+            "--check" => check.on = true,
+            "--check-json" => check.json = Some(arg(&args, &mut i, "an output path")),
             "--check-rules" => {
-                i += 1;
-                let list = args
-                    .get(i)
-                    .unwrap_or_else(|| die("--check-rules needs a comma-separated rule-id list"));
-                check_rules = RuleSet::from_ids(list).unwrap_or_else(|e| die(&e));
-                check_traces = true;
+                let ids: String = arg(&args, &mut i, "a comma-separated rule-id list");
+                rules = RuleSet::from_ids(&ids).unwrap_or_else(|e| die(&e));
+                check.on = true;
             }
-            "--check-graph" => {
-                i += 1;
-                check_graph_dir = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| die("--check-graph needs an output directory"))
-                        .clone(),
-                );
-            }
-            "--crossval" => crossval_gate = true,
-            "--crossval-json" => {
-                i += 1;
-                crossval_gate = true;
-                crossval_json_path = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| die("--crossval-json needs an output path"))
-                        .clone(),
-                );
-            }
-            "--optimize" => optimize_sweep = true,
-            "--optimize-json" => {
-                i += 1;
-                optimize_sweep = true;
-                optimize_json_path = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| die("--optimize-json needs an output path"))
-                        .clone(),
-                );
-            }
-            "--crash" => crash_campaign = true,
-            "--crash-json" => {
-                i += 1;
-                crash_campaign = true;
-                crash_json_path = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| die("--crash-json needs an output path"))
-                        .clone(),
-                );
-            }
-            "--serve" => serve_sweep = true,
-            "--serve-json" => {
-                i += 1;
-                serve_sweep = true;
-                serve_json_path = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| die("--serve-json needs an output path"))
-                        .clone(),
-                );
-            }
-            "--serve-arrival" => {
-                i += 1;
-                serve_arrival = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--serve-arrival needs paced|bursty"));
-            }
-            "--trace" => {
-                i += 1;
-                trace_path = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| die("--trace needs an output path"))
-                        .clone(),
-                );
-            }
-            "--profile" => profile = true,
-            "--profile-json" => {
-                i += 1;
-                profile = true;
-                profile_json_path = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| die("--profile-json needs an output path"))
-                        .clone(),
-                );
-            }
+            "--check-graph" => graph_dir = Some(arg(&args, &mut i, "an output directory")),
+            "--crossval" => crossval.on = true,
+            "--crossval-json" => crossval.json = Some(arg(&args, &mut i, "an output path")),
+            "--crash" => crash.on = true,
+            "--crash-json" => crash.json = Some(arg(&args, &mut i, "an output path")),
+            "--optimize" => optimize.on = true,
+            "--optimize-json" => optimize.json = Some(arg(&args, &mut i, "an output path")),
+            "--serve" => serve.on = true,
+            "--serve-json" => serve.json = Some(arg(&args, &mut i, "an output path")),
+            "--serve-arrival" => scfg.arrival = arg(&args, &mut i, "paced|bursty"),
             "--serve-shards" => {
-                i += 1;
-                serve_shards = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                    .unwrap_or_else(|| die("--serve-shards needs a positive count"));
+                scfg.shards = arg::<NonZeroUsize>(&args, &mut i, "a positive count").get();
             }
+            "--profile" => profile.on = true,
+            "--profile-json" => profile.json = Some(arg(&args, &mut i, "an output path")),
+            "--trace" => trace = Some(arg(&args, &mut i, "an output path")),
+            "--json" => json = Some(arg(&args, &mut i, "an output path")),
+            "--json-det" => json_det = Some(arg(&args, &mut i, "an output path")),
+            "--dump-traces" => dump_dir = Some(arg(&args, &mut i, "a directory")),
+            "--from-trace" => from_trace = Some(arg(&args, &mut i, "a file")),
             "--quiet" => pmobs::logger::set_level(pmobs::Level::Error),
-            "--json" => {
-                i += 1;
-                json_path = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| die("--json needs an output path"))
-                        .clone(),
-                );
-            }
-            "--json-det" => {
-                i += 1;
-                json_det_path = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| die("--json-det needs an output path"))
-                        .clone(),
-                );
-            }
-            "--apps" => {
-                i += 1;
-                apps = args
-                    .get(i)
-                    .unwrap_or_else(|| die("--apps needs a comma-separated list"))
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .collect();
-            }
-            "--dump-traces" => {
-                i += 1;
-                dump_dir = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| die("--dump-traces needs a directory"))
-                        .clone(),
-                );
-            }
-            "--from-trace" => {
-                i += 1;
-                from_trace = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| die("--from-trace needs a file"))
-                        .clone(),
-                );
-            }
             "--help" | "-h" => {
+                let names: Vec<&str> = report::SECTIONS.iter().map(|(name, _)| *name).collect();
                 eprintln!(
-                    "usage: whisper-report [table1|fig3|fig4|fig5|fig6|fig10|amplification|ntfraction|smallwrites|all] [--scale X] [--seed N] [--apps a,b,c] [--parallel N] [--threads N] [--timing] [--json PATH] [--json-det PATH] [--check] [--check-json PATH] [--check-rules ID,..] [--check-graph DIR] [--crossval] [--crossval-json PATH] [--crash] [--crash-json PATH] [--serve] [--serve-json PATH] [--serve-arrival paced|bursty] [--serve-shards N] [--trace PATH] [--profile] [--profile-json PATH] [--optimize] [--optimize-json PATH] [--quiet]"
+                    "usage: {USAGE}\n\nEXPERIMENT: {} | all (default)",
+                    names.join(" | ")
                 );
                 return;
             }
-            exp if !exp.starts_with('-') => experiment = exp.to_string(),
+            exp if !exp.starts_with('-') => experiment = exp,
             other => die(&format!("unknown flag {other}")),
         }
         i += 1;
     }
+    for m in [
+        &mut check,
+        &mut crossval,
+        &mut crash,
+        &mut optimize,
+        &mut serve,
+        &mut profile,
+    ] {
+        m.on |= m.json.is_some();
+    }
+    serve.on |= profile.on;
 
+    if let (true, Some(flag)) = (timing, not_timing) {
+        die(&format!("--timing cannot be combined with {flag}"));
+    }
     for a in &apps {
         if !APP_NAMES.contains(&a.as_str()) {
             die(&format!("unknown app {a:?}; valid: {APP_NAMES:?}"));
         }
     }
     let names: Vec<&str> = apps.iter().map(String::as_str).collect();
-
     // Reject configurations up front rather than deep inside a worker:
     // a scale that truncates any app to zero ops would silently report
     // rates for work that never ran.
     if let Err(msg) = cfg.validate() {
         die(&msg);
     }
+    let render = match experiment {
+        "all" => report::all,
+        exp => report::SECTIONS
+            .iter()
+            .find(|(name, _)| *name == exp)
+            .map_or_else(|| die(&format!("unknown experiment {exp:?}")), |s| s.1),
+    };
+    if timing {
+        run_timing_comparison(&names, &cfg);
+        return;
+    }
 
     // Metric recording stays off unless a machine-readable report was
     // requested: instruments are provably non-perturbing, but the
     // default run should still be the plain one.
-    if json_path.is_some() {
+    if json.is_some() {
         pmobs::set_enabled(true);
     }
-
-    // --profile rides on the serving sweep.
-    if profile {
-        serve_sweep = true;
-    }
-
     // Tracing covers the suite run and the serving sweep; it is turned
-    // off again right after the export, so the `--check`/`--crash`
-    // phases (which re-run workloads internally) never pollute a file
-    // already written.
-    if trace_path.is_some() {
+    // off again right after the export, so the other gates (which
+    // re-run workloads internally) never pollute a file already
+    // written.
+    if trace.is_some() {
         pmobs::trace::set_enabled(true);
     }
 
     // Offline mode analyzes an archived trace instead of running the
     // suite; either way the results take the same output path below.
-    let results = if let Some(path) = from_trace {
-        load_archived_trace(&path)
-    } else {
-        if timing {
-            run_timing_comparison(&names, &cfg);
-            return;
-        }
-
-        pmobs::info!(
-            "running {} app(s) at scale {} (seed {}, {} worker{})...",
-            names.len(),
-            cfg.scale,
-            cfg.seed,
-            cfg.parallelism,
-            if cfg.parallelism == 1 { "" } else { "s" },
-        );
-        let started = Instant::now();
-        let results = run_apps(&names, &cfg);
-        pmobs::info!("suite finished in {:.2?}", started.elapsed());
-
-        if let Some(dir) = &dump_dir {
-            std::fs::create_dir_all(dir)
-                .unwrap_or_else(|e| die(&format!("cannot create {dir}: {e}")));
-            for r in &results {
-                let path = format!("{dir}/{}.wtr", r.run.name);
-                std::fs::write(&path, pmtrace::encode_events(&r.run.events))
-                    .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-                pmobs::info!("trace archived to {path}");
-            }
-        }
-        results
+    let results = match &from_trace {
+        Some(path) => load_archived_trace(path),
+        None => run_suite(&names, &cfg, dump_dir.as_deref()),
     };
 
-    let served = run_serve_sweep(
-        serve_sweep,
-        profile,
-        &serve_json_path,
-        &profile_json_path,
-        &cfg,
-        serve_shards,
-        serve_arrival,
-    );
-    export_trace(&trace_path);
-    let checks = run_checks(check_traces, &check_json_path, &results, check_rules);
-    let graphs = run_graphs(&check_graph_dir, &results);
-    let crash = run_crash(crash_campaign, &crash_json_path, &cfg);
-    let crossval = run_crossval_gate(crossval_gate, &crossval_json_path, &cfg);
-    let optimized = run_optimize(optimize_sweep, &optimize_json_path, &results, &cfg);
-    write_json_report(
-        &json_path,
-        &json_det_path,
-        &results,
-        &cfg,
-        checks.as_deref(),
-        check_rules,
-        crash.as_ref(),
-        served.as_ref(),
-        optimized.as_ref(),
-        graphs.as_deref(),
-        crossval.as_ref(),
-    );
-
-    let text = match experiment.as_str() {
-        "table1" => report::table1(&results),
-        "fig3" => report::fig3(&results),
-        "fig4" => report::fig4(&results),
-        "fig5" => report::fig5(&results),
-        "fig6" => report::fig6(&results),
-        "fig10" => report::fig10(&results),
-        "amplification" => report::amplification(&results),
-        "ntfraction" => report::nt_fraction(&results),
-        "smallwrites" => report::small_writes(&results),
-        "consequences" => report::consequences(&results),
-        "all" => report::all(&results),
-        other => die(&format!("unknown experiment {other:?}")),
+    let ccfg = CampaignConfig {
+        parallelism: cfg.parallelism,
+        ..CampaignConfig::quick()
     };
-    println!("{text}");
-    if let Some(checks) = &checks {
-        print!("\n{}", check::summary_table(checks));
+    let scfg = ServeConfig {
+        shards: scfg.shards,
+        arrival: scfg.arrival,
+        ..ServeConfig::from_suite(&cfg)
+    };
+    let served = gate(serve.on, "suite.serve", || {
+        serve_sections(serve, profile, &scfg)
+    });
+    if let Some(path) = &trace {
+        let tracks = pmobs::trace::take_tracks();
+        pmobs::trace::set_enabled(false);
+        let mut out = pmobs::trace::export_chrome(&tracks).to_compact();
+        out.push('\n');
+        let what = format!("chrome trace ({} track(s))", tracks.len());
+        write(path, out, &what);
     }
-    if let Some(graphs) = &graphs {
-        print!("\n{}", hbgraph::summary_table(graphs));
-    }
-    if let Some((reports, ccfg)) = &crash {
-        print!("\n{}", crashtest::summary_table(reports, ccfg));
-    }
-    if let Some(cv) = &crossval {
-        print!("\n{}", cv.summary_table());
-    }
-    if let Some(opt) = &optimized {
-        print!("\n{}", optimize::summary_table(opt));
-    }
-    if let Some(s) = &served {
-        print!("\n{}", report::serve_table(&s.reports, s.scfg.arrival));
-        if let Some(profiles) = &s.profiles {
-            print!("\n{}", profile_table(profiles));
+    let sections: Vec<Section> = [
+        gate(check.on, "suite.check", || {
+            check_section(check, &results, rules)
+        }),
+        graph_dir.and_then(|dir| gate(true, "suite.hbgraph", || graph_section(&dir, &results))),
+        gate(crash.on, "suite.crash", || crash_section(crash, &ccfg)),
+        gate(crossval.on, "suite.crossval", || {
+            crossval_section(crossval, &ccfg)
+        }),
+        gate(optimize.on, "suite.optimize", || {
+            optimize_section(optimize, &results, &ccfg)
+        }),
+    ]
+    .into_iter()
+    .flatten()
+    .chain(served.into_iter().flatten())
+    .collect();
+
+    for s in &sections {
+        if let Some(path) = &s.path {
+            write(path, s.json.to_pretty(), &format!("{} json", s.key));
         }
     }
-    if let Some(checks) = &checks {
-        exit_if_check_failed(checks);
+    if json.is_some() || json_det.is_some() {
+        // Snapshot the registry last, so the report includes everything
+        // the run recorded.
+        let doc = report_doc(&results, &cfg, &sections);
+        if let Some(path) = &json {
+            write(path, doc.to_pretty(), "json report");
+        }
+        if let Some(path) = &json_det {
+            let det = json_report::deterministic_subset(&doc);
+            write(path, det.to_pretty(), "deterministic json report");
+        }
     }
-    if let Some((reports, _)) = &crash {
-        exit_if_crash_failed(reports);
+
+    println!("{}", render(&results));
+    for s in &sections {
+        print!("\n{}", s.table);
     }
-    if let Some(cv) = &crossval {
-        exit_if_crossval_failed(cv);
+    let failed: Vec<&(i32, String)> = sections.iter().filter_map(|s| s.failed.as_ref()).collect();
+    for (_, reason) in &failed {
+        pmobs::error!("{reason} — failing");
     }
-    if let Some(opt) = &optimized {
-        exit_if_optimize_failed(opt);
+    if let Some((code, _)) = failed.first() {
+        std::process::exit(*code);
     }
+}
+
+/// The value after the flag at `args[*i]`, parsed; a missing or
+/// malformed value is a usage error saying the flag needs `what`.
+fn arg<T: FromStr>(args: &[String], i: &mut usize, what: &str) -> T {
+    *i += 1;
+    args.get(*i)
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| die(&format!("{} needs {what}", args[*i - 1])))
+}
+
+/// Run a gate that is `on` inside its `pmobs` span, and log how long
+/// it took.
+fn gate<T>(on: bool, span: &'static str, run: impl FnOnce() -> T) -> Option<T> {
+    let _span = on.then(|| pmobs::span!(span))?;
+    let started = Instant::now();
+    let out = run();
+    pmobs::info!("{span} finished in {:.2?}", started.elapsed());
+    Some(out)
+}
+
+/// Write one output file; the CLI's only write path.
+fn write(path: &str, contents: impl AsRef<[u8]>, what: &str) {
+    std::fs::write(path, contents).unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+    pmobs::info!("{what} written to {path}");
+}
+
+/// Run the selected apps and, under `--dump-traces`, archive each
+/// event stream as `DIR/<app>.wtr`.
+fn run_suite(names: &[&str], cfg: &SuiteConfig, dump_dir: Option<&str>) -> Vec<AppResult> {
+    pmobs::info!(
+        "running {} app(s) at scale {} (seed {}, {} worker{})...",
+        names.len(),
+        cfg.scale,
+        cfg.seed,
+        cfg.parallelism,
+        if cfg.parallelism == 1 { "" } else { "s" },
+    );
+    let started = Instant::now();
+    let results = run_apps(names, cfg);
+    pmobs::info!("suite finished in {:.2?}", started.elapsed());
+    if let Some(dir) = dump_dir {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("cannot create {dir}: {e}")));
+        for r in &results {
+            let path = format!("{dir}/{}.wtr", r.run.name);
+            write(&path, pmtrace::encode_events(&r.run.events), "trace");
+        }
+    }
+    results
 }
 
 /// `--from-trace`: decode an archived trace into a one-row result set.
@@ -538,325 +462,137 @@ fn load_archived_trace(path: &str) -> Vec<AppResult> {
     vec![AppResult { run, analysis }]
 }
 
-/// `--trace`: drain the collected tracks, write Chrome trace-event
-/// JSON, and disable tracing — later phases (checks, crash) re-run
-/// workloads internally and must not record into a file already
-/// written.
-fn export_trace(trace_path: &Option<String>) {
-    let Some(path) = trace_path else { return };
-    let tracks = pmobs::trace::take_tracks();
-    pmobs::trace::set_enabled(false);
-    let mut out = pmobs::trace::export_chrome(&tracks).to_compact();
-    out.push('\n');
-    std::fs::write(path, out).unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-    pmobs::info!("chrome trace ({} track(s)) written to {path}", tracks.len());
-}
-
-/// `--check`: run the persistency checker over every trace (restricted
-/// to the `--check-rules` selection), write the standalone violations
-/// document if `--check-json` asked for one.
-fn run_checks(
-    enabled: bool,
-    check_json_path: &Option<String>,
-    results: &[AppResult],
-    rules: RuleSet,
-) -> Option<Vec<AppCheck>> {
-    if !enabled {
-        return None;
-    }
-    let _span = pmobs::span!("suite.check");
+/// `--check`: the persistency checker over every trace, restricted to
+/// the `--check-rules` selection. Error-severity findings exit 3.
+fn check_section(mode: Mode, results: &[AppResult], rules: RuleSet) -> Section {
     let checks = check::check_results_with(results, rules);
-    if let Some(path) = check_json_path {
-        std::fs::write(path, check::violations_json(&checks, rules).to_pretty())
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        pmobs::info!("violations json written to {path}");
+    let errors = check::total_errors(&checks);
+    Section {
+        key: "violations",
+        path: mode.json,
+        json: check::violations_json(&checks, rules),
+        table: check::summary_table(&checks),
+        failed: (errors > 0).then(|| (3, format!("pmcheck: {errors} error-severity violation(s)"))),
     }
-    Some(checks)
 }
 
-/// `--check-graph DIR`: build the epoch dependency graph for every
-/// result, write `<DIR>/<app>.json` + `<DIR>/<app>.dot`.
-fn run_graphs(dir: &Option<String>, results: &[AppResult]) -> Option<Vec<AppGraph>> {
-    let dir = dir.as_ref()?;
-    let _span = pmobs::span!("suite.hbgraph");
+/// `--check-graph DIR`: the epoch dependency graph of every result,
+/// written to `DIR/<app>.json` + `DIR/<app>.dot`.
+fn graph_section(dir: &str, results: &[AppResult]) -> Section {
     let graphs = hbgraph::build_graphs(results);
     let written = hbgraph::write_graphs(&graphs, std::path::Path::new(dir))
         .unwrap_or_else(|e| die(&format!("cannot write graphs to {dir}: {e}")));
     pmobs::info!("{} graph file(s) written to {dir}", written.len());
-    Some(graphs)
-}
-
-/// `--crossval`: replay every `APPS` crash workload with tracing on,
-/// compare every materialized image against the HB analysis's proven
-/// durable set, and run the seeded epoch-race positive control. Writes
-/// the standalone document if `--crossval-json` asked for one. Reuses
-/// the suite's `--parallel` worker count.
-fn run_crossval_gate(
-    enabled: bool,
-    crossval_json_path: &Option<String>,
-    cfg: &SuiteConfig,
-) -> Option<CrossvalReport> {
-    if !enabled {
-        return None;
-    }
-    let _span = pmobs::span!("suite.crossval");
-    let ccfg = CampaignConfig {
-        parallelism: cfg.parallelism,
-        ..CampaignConfig::quick()
-    };
-    pmobs::info!(
-        "cross-validating hb analysis: {} point(s) x {} spec(s) per app...",
-        ccfg.points,
-        2 + ccfg.adversarial_seeds
-    );
-    let started = Instant::now();
-    let report = whisper::crossval::run_crossval(&ccfg);
-    pmobs::info!(
-        "crossval finished in {:.2?}: {} image(s), {} violation(s)",
-        started.elapsed(),
-        report.total_images(),
-        report.total_violations()
-    );
-    if let Some(path) = crossval_json_path {
-        std::fs::write(path, report.to_json().to_pretty())
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        pmobs::info!("crossval json written to {path}");
-    }
-    Some(report)
-}
-
-/// The `--crossval` gate: an order-impossible crash image, a vacuous
-/// proof set, or a dead positive control fails the run.
-fn exit_if_crossval_failed(report: &CrossvalReport) {
-    if !report.passed() {
-        pmobs::error!(
-            "crossval gate: {} order-impossible image state(s), {} proven line(s), control {} — failing",
-            report.total_violations(),
-            report.total_proven(),
-            if report.control.passed() { "ok" } else { "dead" }
-        );
-        std::process::exit(CROSSVAL_FAILED);
+    Section {
+        key: "hb.graph",
+        path: None,
+        json: hbgraph::stats_json(&graphs),
+        table: hbgraph::summary_table(&graphs),
+        failed: None,
     }
 }
 
-/// The `--check` gate: error-severity findings fail the run.
-fn exit_if_check_failed(checks: &[AppCheck]) {
-    let errors = check::total_errors(checks);
-    if errors > 0 {
-        pmobs::error!("pmcheck: {errors} error-severity violation(s) — failing");
-        std::process::exit(CHECK_FAILED);
+/// `--crash`: the crash-injection campaign. Any recovery failure
+/// exits 4.
+fn crash_section(mode: Mode, ccfg: &CampaignConfig) -> Section {
+    let reports = crashtest::run_campaign(ccfg);
+    let failures = crashtest::total_failures(&reports);
+    Section {
+        key: "crash",
+        path: mode.json,
+        json: crashtest::crash_json(&reports, ccfg),
+        table: crashtest::summary_table(&reports, ccfg),
+        failed: (failures > 0)
+            .then(|| (4, format!("crash campaign: {failures} recovery failure(s)"))),
     }
 }
 
-/// `--crash`: sweep the crash-injection campaign across the suite,
-/// write the standalone campaign document if `--crash-json` asked for
-/// one. The campaign reuses the suite's `--parallel` worker count.
-fn run_crash(
-    enabled: bool,
-    crash_json_path: &Option<String>,
-    cfg: &SuiteConfig,
-) -> Option<(Vec<AppCrashReport>, CampaignConfig)> {
-    if !enabled {
-        return None;
+/// `--crossval`: every crash image against the HB analysis's proven
+/// durable set, plus the seeded epoch-race positive control. An
+/// order-impossible image, a vacuous proof set or a dead control
+/// exits 6.
+fn crossval_section(mode: Mode, ccfg: &CampaignConfig) -> Section {
+    let report = crossval::run_crossval(ccfg);
+    Section {
+        key: "hb.crossval",
+        path: mode.json,
+        json: report.to_json(),
+        table: report.summary_table(),
+        failed: (!report.passed()).then(|| {
+            let control = if report.control.passed() {
+                "ok"
+            } else {
+                "dead"
+            };
+            let (bad, proven) = (report.total_violations(), report.total_proven());
+            let why = format!("{bad} order-impossible image state(s), {proven} proven line(s)");
+            (6, format!("crossval gate: {why}, control {control}"))
+        }),
     }
-    let _span = pmobs::span!("suite.crash");
-    let ccfg = CampaignConfig {
-        parallelism: cfg.parallelism,
-        ..CampaignConfig::quick()
-    };
-    pmobs::info!(
-        "sweeping crash campaign: {} point(s) x {} spec(s) per app...",
-        ccfg.points,
-        2 + ccfg.adversarial_seeds
-    );
-    let started = Instant::now();
-    let reports = crashtest::run_campaign(&ccfg);
-    pmobs::info!("crash campaign finished in {:.2?}", started.elapsed());
-    if let Some(path) = crash_json_path {
-        std::fs::write(path, crashtest::crash_json(&reports, &ccfg).to_pretty())
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        pmobs::info!("crash campaign json written to {path}");
-    }
-    Some((reports, ccfg))
 }
 
-/// `--optimize`: rewrite every selected trace, price the speedup, and
-/// re-run the crash campaign over the elided schedules; write the
-/// standalone optimize document if `--optimize-json` asked for one.
-/// Both phases reuse the suite's `--parallel` worker count.
-fn run_optimize(
-    enabled: bool,
-    optimize_json_path: &Option<String>,
-    results: &[AppResult],
-    cfg: &SuiteConfig,
-) -> Option<OptimizeReport> {
-    if !enabled {
-        return None;
-    }
-    let _span = pmobs::span!("suite.optimize");
-    let ccfg = CampaignConfig {
-        parallelism: cfg.parallelism,
-        ..CampaignConfig::quick()
-    };
-    pmobs::info!(
-        "sweeping ordering optimizer: rewrite + replay over {} app(s), then crash-verifying...",
-        results.len()
-    );
-    let started = Instant::now();
-    let report = optimize::optimize_results(results, &ccfg, cfg.parallelism);
-    pmobs::info!(
-        "optimizer finished in {:.2?}: {} instruction(s) elided, {} crash failure(s)",
-        started.elapsed(),
-        report.total_elided(),
-        report.crash_failures()
-    );
-    if let Some(path) = optimize_json_path {
-        std::fs::write(path, optimize::optimize_json(&report).to_pretty())
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        pmobs::info!("optimize json written to {path}");
-    }
-    Some(report)
-}
-
-/// The `--optimize` gate: any re-check or crash-soundness violation
-/// fails the run.
-fn exit_if_optimize_failed(report: &OptimizeReport) {
+/// `--optimize`: rewrite every trace, price the speedup, re-check, and
+/// re-run the crash campaign over the elided schedules. Any gate
+/// violation exits 5.
+fn optimize_section(mode: Mode, results: &[AppResult], ccfg: &CampaignConfig) -> Section {
+    let report = optimize::optimize_results(results, ccfg, ccfg.parallelism);
     let violations = report.gate_violations();
-    if !violations.is_empty() {
-        for v in &violations {
-            pmobs::error!("optimize gate: {v}");
-        }
-        std::process::exit(OPTIMIZE_FAILED);
+    Section {
+        key: "optimize",
+        path: mode.json,
+        json: optimize::optimize_json(&report),
+        table: optimize::summary_table(&report),
+        failed: (!violations.is_empty())
+            .then(|| (5, format!("optimize gate: {}", violations.join("; ")))),
     }
 }
 
-/// What `--serve` (and `--profile` riding on it) produced, for the
-/// report body and the printed tables.
-struct ServeOutput {
-    reports: Vec<AppServe>,
-    /// Present only under `--profile`.
-    profiles: Option<Vec<AppProfile>>,
-    scfg: ServeConfig,
+/// `--serve` and, under `--profile`, its phase profile. The sweep
+/// always computes the profiles; only `--profile` keeps them.
+fn serve_sections(serve: Mode, profile: Mode, scfg: &ServeConfig) -> Vec<Section> {
+    let (reports, profiles) = serve::run_serve_profiled(scfg);
+    let mut out = vec![Section {
+        key: "serve",
+        path: serve.json,
+        json: serve::serve_json(&reports, scfg),
+        table: report::serve_table(&reports, scfg.arrival),
+        failed: None,
+    }];
+    if profile.on {
+        out.push(Section {
+            key: "profile",
+            path: profile.json,
+            json: profile_json(&profiles, scfg),
+            table: profile_table(&profiles),
+            failed: None,
+        });
+    }
+    out
 }
 
-/// `--serve`: sweep the open-loop serving engine across the suite,
-/// write the standalone serve document if `--serve-json` asked for
-/// one — and, under `--profile`, keep the per-app phase profiles
-/// (writing the standalone profile document if `--profile-json` asked
-/// for one). The sweep reuses the suite's scale/seed and `--parallel`
-/// worker count; results never depend on the latter.
-fn run_serve_sweep(
-    enabled: bool,
-    profile: bool,
-    serve_json_path: &Option<String>,
-    profile_json_path: &Option<String>,
-    cfg: &SuiteConfig,
-    shards: usize,
-    arrival: Arrival,
-) -> Option<ServeOutput> {
-    if !enabled {
-        return None;
-    }
-    let _span = pmobs::span!("suite.serve");
-    let scfg = ServeConfig {
-        scale: cfg.scale,
-        seed: cfg.seed,
-        shards,
-        arrival,
-        parallelism: cfg.parallelism,
-    };
-    pmobs::info!("sweeping serving engine: {shards} shard(s), {arrival} arrivals...");
-    let started = Instant::now();
-    let (reports, profiles) = if profile {
-        let (r, p) = serve::run_serve_profiled(&scfg);
-        (r, Some(p))
-    } else {
-        (serve::run_serve(&scfg), None)
-    };
-    pmobs::info!("serving sweep finished in {:.2?}", started.elapsed());
-    if let Some(path) = serve_json_path {
-        std::fs::write(path, serve::serve_json(&reports, &scfg).to_pretty())
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        pmobs::info!("serve json written to {path}");
-    }
-    if let Some(path) = profile_json_path {
-        let p = profiles.as_ref().expect("--profile-json implies --profile");
-        std::fs::write(path, profile_json(p, &scfg).to_pretty())
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        pmobs::info!("profile json written to {path}");
-    }
-    Some(ServeOutput {
-        reports,
-        profiles,
-        scfg,
-    })
-}
-
-/// The `--crash` gate: any recovery failure fails the run.
-fn exit_if_crash_failed(reports: &[AppCrashReport]) {
-    let failures = crashtest::total_failures(reports);
-    if failures > 0 {
-        pmobs::error!("crash campaign: {failures} recovery failure(s) — failing");
-        std::process::exit(CRASH_FAILED);
-    }
-}
-
-/// Write the schema-v7 JSON document to `path` and/or its deterministic
-/// subset to `det_path` (no-op without `--json`/`--json-det`).
-/// Snapshots the global pmobs registry last, so the full report
-/// includes everything the run recorded.
-#[allow(clippy::too_many_arguments)]
-fn write_json_report(
-    path: &Option<String>,
-    det_path: &Option<String>,
-    results: &[AppResult],
-    cfg: &SuiteConfig,
-    checks: Option<&[AppCheck]>,
-    rules: RuleSet,
-    crash: Option<&(Vec<AppCrashReport>, CampaignConfig)>,
-    served: Option<&ServeOutput>,
-    optimized: Option<&OptimizeReport>,
-    graphs: Option<&[AppGraph]>,
-    crossval: Option<&CrossvalReport>,
-) {
-    if path.is_none() && det_path.is_none() {
-        return;
-    }
-    let snap = pmobs::global().snapshot();
-    let mut doc = json_report::build_checked(results, cfg, &snap, checks, rules);
-    if let Some((reports, ccfg)) = crash {
-        doc = doc.field("crash", crashtest::crash_json(reports, ccfg));
-    }
-    if graphs.is_some() || crossval.is_some() {
-        let hb = pmobs::Json::obj()
-            .field(
-                "graph",
-                graphs.map_or(pmobs::Json::Null, hbgraph::stats_json),
-            )
-            .field(
-                "crossval",
-                crossval.map_or(pmobs::Json::Null, CrossvalReport::to_json),
-            );
-        doc = doc.field("hb", hb);
-    }
-    if let Some(s) = served {
-        doc = doc.field("serve", serve::serve_json(&s.reports, &s.scfg));
-        if let Some(p) = &s.profiles {
-            doc = doc.field("profile", profile_json(p, &s.scfg));
+/// The `--json` document: the suite sections from
+/// `json_report::build`, with every gate's document set under its key.
+/// `Json::field` replaces in place, so the key order stays
+/// `json_report::REQUIRED_KEYS` whatever order the gates ran in.
+fn report_doc(results: &[AppResult], cfg: &SuiteConfig, sections: &[Section]) -> Json {
+    let mut doc = json_report::build(results, cfg, &pmobs::global().snapshot());
+    let mut hb: Option<Json> = None;
+    for s in sections {
+        match s.key.strip_prefix("hb.") {
+            Some(half) => {
+                let base = hb.unwrap_or_else(|| {
+                    Json::obj()
+                        .field("graph", Json::Null)
+                        .field("crossval", Json::Null)
+                });
+                hb = Some(base.field(half, s.json.clone()));
+            }
+            None => doc = doc.field(s.key, s.json.clone()),
         }
     }
-    if let Some(opt) = optimized {
-        doc = doc.field("optimize", optimize::optimize_json(opt));
-    }
-    if let Some(path) = path {
-        std::fs::write(path, doc.to_pretty())
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        pmobs::info!("json report written to {path}");
-    }
-    if let Some(path) = det_path {
-        std::fs::write(path, json_report::deterministic_subset(&doc).to_pretty())
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        pmobs::info!("deterministic json report written to {path}");
+    match hb {
+        Some(hb) => doc.field("hb", hb),
+        None => doc,
     }
 }
 

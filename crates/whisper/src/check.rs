@@ -29,13 +29,9 @@ pub struct AppCheck {
     pub report: CheckReport,
 }
 
-/// Check every result's trace, logging findings as they are found.
-pub fn check_results(results: &[AppResult]) -> Vec<AppCheck> {
-    check_results_with(results, RuleSet::all())
-}
-
-/// [`check_results`] restricted to the rules in `rules`
-/// (`--check-rules`).
+/// Check every result's trace against the rules in `rules`
+/// (`--check-rules`; [`RuleSet::all`] by default), logging findings as
+/// they are found.
 pub fn check_results_with(results: &[AppResult], rules: RuleSet) -> Vec<AppCheck> {
     results
         .iter()

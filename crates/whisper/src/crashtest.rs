@@ -419,11 +419,6 @@ pub fn run_optimized_campaign(cfg: &CampaignConfig) -> Vec<OptimizedCrashReport>
     fan_out(cfg.parallelism, &APPS, |_, app| run_optimized_row(app, cfg))
 }
 
-/// Total oracle rejections across an optimized campaign.
-pub fn total_optimized_failures(reports: &[OptimizedCrashReport]) -> usize {
-    reports.iter().map(|r| r.report.failures.len()).sum()
-}
-
 /// Total oracle rejections across the campaign (the `--crash` gate).
 pub fn total_failures(reports: &[AppCrashReport]) -> usize {
     reports.iter().map(|r| r.failures.len()).sum()

@@ -590,7 +590,7 @@ mod tests {
             worker_threads: 4,
         };
         let results = run_apps(&["exim"], &cfg);
-        let checks = crate::check::check_results(&results);
+        let checks = crate::check::check_results_with(&results, pmcheck::RuleSet::all());
         let doc = build_checked(
             &results,
             &cfg,

@@ -606,21 +606,31 @@ pub fn serve_table(reports: &[crate::serve::AppServe], arrival: crate::serve::Ar
     out
 }
 
+/// Renders one experiment's table from the suite results.
+pub type Render = fn(&[AppResult]) -> String;
+
+/// Every experiment `whisper-report` can print, by the name its
+/// command line takes, in report order. [`all`] renders them all.
+pub const SECTIONS: [(&str, Render); 10] = [
+    ("table1", table1),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig10", fig10),
+    ("amplification", amplification),
+    ("ntfraction", nt_fraction),
+    ("smallwrites", small_writes),
+    ("consequences", consequences),
+];
+
 /// Every report, concatenated.
 pub fn all(results: &[AppResult]) -> String {
-    [
-        table1(results),
-        fig3(results),
-        fig4(results),
-        fig5(results),
-        fig6(results),
-        fig10(results),
-        amplification(results),
-        nt_fraction(results),
-        small_writes(results),
-        consequences(results),
-    ]
-    .join("\n")
+    SECTIONS
+        .iter()
+        .map(|(_, render)| render(results))
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
 #[cfg(test)]

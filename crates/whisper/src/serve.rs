@@ -118,11 +118,6 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Quick-scale sweep matching [`SuiteConfig::quick`].
-    pub fn quick() -> ServeConfig {
-        ServeConfig::from_suite(&SuiteConfig::quick())
-    }
-
     /// Adopt scale/seed/parallelism from a suite configuration, with
     /// the default four shards and bursty arrivals.
     pub fn from_suite(cfg: &SuiteConfig) -> ServeConfig {
@@ -275,16 +270,8 @@ pub fn request_bounds(events: &[Event], n: usize) -> Vec<usize> {
 /// Price a calibration trace's request segments under `model`: the
 /// per-request service time is the growth of the replay makespan across
 /// the segment (floored at 1 ns so a queue can never serve in zero
-/// time).
-pub fn service_times(events: &[Event], bounds: &[usize], model: PersistModel) -> Vec<u64> {
-    service_times_with_stalls(events, bounds, model)
-        .into_iter()
-        .map(|(svc, _)| svc)
-        .collect()
-}
-
-/// Like [`service_times`], but each segment also carries its
-/// ordering-stall share: the growth of the replayer's
+/// time). Each segment also carries its ordering-stall share: the
+/// growth of the replayer's
 /// [`stall_total_ns`](Replayer::stall_total_ns) across the segment,
 /// clamped to the service time (the stall sum is over threads while the
 /// makespan is a max, so an unclamped delta could exceed the segment on
@@ -329,23 +316,17 @@ pub fn service_times_with_stalls(
     services
 }
 
-/// Run the serving sweep for one application.
+/// Run the serving sweep for one application, plus its phase profile
+/// (see [`crate::profile`]).
 ///
 /// Pure in `(name, scale, seed, shards, arrival)`; `cfg.parallelism`
-/// is never consulted here.
-pub fn serve_app(name: &str, cfg: &ServeConfig) -> AppServe {
-    serve_app_full(name, cfg).0
-}
-
-/// The serving sweep plus its phase profile (see [`crate::profile`]).
-///
-/// The profile derives from the same per-request samples that feed the
-/// latency histograms, so computing it never changes the [`AppServe`]
-/// half. When tracing is active, the knee point (the last
-/// [`LOAD_FRACTIONS`] entry) of every mechanism also emits one request
-/// track per shard plus one shared arrivals track — after the
-/// simulation loop, from the recorded samples, so tracing cannot
-/// perturb the queues either.
+/// is never consulted here. The profile derives from the same
+/// per-request samples that feed the latency histograms, so computing
+/// it never changes the [`AppServe`] half. When tracing is active, the
+/// knee point (the last [`LOAD_FRACTIONS`] entry) of every mechanism
+/// also emits one request track per shard plus one shared arrivals
+/// track — after the simulation loop, from the recorded samples, so
+/// tracing cannot perturb the queues either.
 pub fn serve_app_full(name: &str, cfg: &ServeConfig) -> (AppServe, AppProfile) {
     assert!(cfg.shards > 0, "need at least one shard");
     let suite = SuiteConfig {
@@ -600,27 +581,16 @@ fn simulate_point(
     (point, samples)
 }
 
-/// Sweep every Table 1 application, fanned out across
-/// `cfg.parallelism` workers with the suite runner's claim-and-reorder
-/// pattern. Results are bit-identical whatever the worker count: each
-/// [`serve_app`] is seeded and self-contained, and rows come back in
-/// Table 1 order.
-pub fn run_serve(cfg: &ServeConfig) -> Vec<AppServe> {
-    serve_apps(&APP_NAMES, cfg)
-}
-
-/// [`run_serve`] plus per-app phase profiles, in the same Table 1
-/// order.
+/// Sweep every Table 1 application and keep the per-app phase
+/// profiles, fanned out across `cfg.parallelism` workers. Results are
+/// bit-identical whatever the worker count: each [`serve_app_full`] is
+/// seeded and self-contained, and rows come back in Table 1 order.
 pub fn run_serve_profiled(cfg: &ServeConfig) -> (Vec<AppServe>, Vec<AppProfile>) {
     serve_apps_profiled(&APP_NAMES, cfg)
 }
 
-/// Sweep a chosen set of applications, in the given order.
-pub fn serve_apps(names: &[&str], cfg: &ServeConfig) -> Vec<AppServe> {
-    serve_apps_profiled(names, cfg).0
-}
-
-/// Sweep a chosen set of applications and keep their phase profiles.
+/// [`run_serve_profiled`] over a chosen set of applications, in the
+/// given order.
 pub fn serve_apps_profiled(names: &[&str], cfg: &ServeConfig) -> (Vec<AppServe>, Vec<AppProfile>) {
     fan_out(cfg.parallelism, names, |_, name| serve_app_full(name, cfg))
         .into_iter()
@@ -761,9 +731,9 @@ mod tests {
         let run = run_named("ctree", 60, 5);
         let bounds = request_bounds(&run.events, 60);
         for model in SERVE_MODELS {
-            let services = service_times(&run.events, &bounds, model);
+            let services = service_times_with_stalls(&run.events, &bounds, model);
             assert_eq!(services.len(), 60);
-            let total: u64 = services.iter().sum();
+            let total: u64 = services.iter().map(|(svc, _)| svc).sum();
             let replayed = hops::replay(
                 &run.events,
                 &TimingConfig::default(),
@@ -795,9 +765,9 @@ mod tests {
             doubled.push(b);
             doubled.push(b); // empty segment
         }
-        let services = service_times(&run.events, &doubled, PersistModel::X86Nvm);
+        let services = service_times_with_stalls(&run.events, &doubled, PersistModel::X86Nvm);
         for pair in services.chunks(2) {
-            assert_eq!(pair[1], 1, "empty segment floors to 1 ns");
+            assert_eq!(pair[1].0, 1, "empty segment floors to 1 ns");
         }
         let snap = pmobs::global().snapshot();
         assert_eq!(
@@ -817,7 +787,7 @@ mod tests {
             arrival: Arrival::Bursty,
             parallelism: 1,
         };
-        let r = serve_app("hashmap", &cfg);
+        let (r, _) = serve_app_full("hashmap", &cfg);
         assert_eq!(r.curves.len(), SERVE_MODELS.len());
         assert_eq!(r.offered_rps.len(), LOAD_FRACTIONS.len());
         for c in &r.curves {
@@ -874,7 +844,7 @@ mod tests {
             arrival: Arrival::Bursty,
             parallelism: 1,
         };
-        let r = serve_app("ctree", &cfg);
+        let (r, _) = serve_app_full("ctree", &cfg);
         for c in &r.curves {
             let below = &c.points[0]; // 0.5 × baseline capacity
             let above = c.points.last().unwrap(); // 1.25 ×

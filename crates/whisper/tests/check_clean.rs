@@ -8,7 +8,8 @@
 //! persistency bug in an application or a false positive in the
 //! checker, and both must be fixed before shipping.
 
-use whisper::check::{check_results, total_errors};
+use pmcheck::RuleSet;
+use whisper::check::{check_results_with, total_errors};
 use whisper::suite::{run_suite, SuiteConfig};
 
 #[test]
@@ -18,7 +19,7 @@ fn all_apps_are_clean_at_quick_scale() {
         ..SuiteConfig::quick()
     };
     let results = run_suite(&cfg);
-    let checks = check_results(&results);
+    let checks = check_results_with(&results, RuleSet::all());
     assert_eq!(checks.len(), results.len(), "one check per app");
 
     let mut offenders = Vec::new();

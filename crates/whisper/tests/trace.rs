@@ -24,7 +24,7 @@
 use pmobs::json::Json;
 use pmobs::trace;
 use std::sync::Mutex;
-use whisper::serve::{serve_apps, Arrival, ServeConfig};
+use whisper::serve::{serve_apps_profiled, Arrival, ServeConfig};
 use whisper::suite::{run_apps, SuiteConfig};
 
 /// The trace flag and collector are process-wide; serialize the tests
@@ -69,7 +69,7 @@ fn trace_export_is_bit_identical_across_parallelism() {
         };
         traced_export(|| {
             run_apps(&["hashmap", "exim"], &cfg);
-            serve_apps(&["hashmap"], &small_serve(parallelism));
+            serve_apps_profiled(&["hashmap"], &small_serve(parallelism));
         })
     };
     let serial = export(1);
@@ -125,7 +125,7 @@ fn chrome_export_is_well_formed() {
     };
     let export = traced_export(|| {
         run_apps(&["exim"], &cfg);
-        serve_apps(&["hashmap"], &small_serve(1));
+        serve_apps_profiled(&["hashmap"], &small_serve(1));
     });
     let doc = pmobs::json::parse(export.trim_end()).expect("trace export parses as JSON");
     assert_eq!(
